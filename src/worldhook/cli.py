@@ -139,9 +139,7 @@ def _print_report(report: WorldReport, log_format: str) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     registry = DeviceRegistry.load(args.devices) if args.devices else DeviceRegistry.default()
-    registration = HandlerRegistration()
-    for key, handler in registry.handlers().items():
-        registration.register_route(key, handler)
+    registration = _device_registration(registry)
     if args.smarthome_base_url:
         client = SmartHomeClient(args.smarthome_base_url, args.smarthome_token)
         registration.register_default(make_gateway_handler(client))
@@ -157,8 +155,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         handle.shutdown()
         raise
     print(endpoint.public_url, flush=True)
-    handle.request_log.add_listener(
-        lambda record: print(_record_line(record, args.log_format), flush=True))
+
+    def print_record(record: RequestRecord) -> None:
+        sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
+        sys.stdout.flush()
+
+    handle.request_log.add_listener(print_record)
     try:
         _serve_until_interrupted()
     finally:

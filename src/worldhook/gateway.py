@@ -6,12 +6,16 @@ run tokens on the path), run the route's handler with the envelope's
 log. The server never dies because of a request; any failure becomes a
 structured error response.
 
-Concurrency: requests are processed on one thread each. Executions that
-target the same device key are serialized in arrival order through a bounded
-FIFO queue per key (overflow rejects with DeviceFault); unrelated keys run
-concurrently. A handler that exceeds the configured timeout gets a 500 while
-its execution finishes in the background, still holding its key's turn so
-mutual exclusion per device is never violated.
+Concurrency: each busy device key has one worker thread that runs the key's
+requests in arrival order; unrelated keys run concurrently, and a request
+without a device key gets a key of its own. A worker runs the handler and
+then logs the request, so the request log holds one key's requests in the
+order the device saw them. A key's queue is bounded (overflow rejects with
+DeviceFault), and its worker exits once the queue is empty. Each request has
+one deadline, ``handler_timeout_ms`` from submission, covering its queue wait
+and its handler. A request still queued at the deadline is withdrawn with a
+500; a handler still running gets a 500 while it finishes in the background,
+still holding its key so mutual exclusion per device is never violated.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import re
 import threading
 import time
 from collections import deque
+from concurrent import futures
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
@@ -53,7 +58,7 @@ class GatewayConfig:
     bind_port: int = 0  # 0 = OS-assigned ephemeral port
     route_prefix: str = DEFAULT_ROUTE_PREFIX
     per_device_queue_depth: int = 128
-    handler_timeout_ms: int = 10_000
+    handler_timeout_ms: int = 10_000  # deadline from submission: queue wait plus handler
 
     def validate(self) -> None:
         if not 0 <= self.bind_port <= 65535:
@@ -131,7 +136,11 @@ class RequestRecord:
 
 
 class RequestLog:
-    """Append-only, totally ordered record of every completed request."""
+    """Append-only, totally ordered record of every completed request.
+
+    Listeners are called in log order while the log's lock is held, so they
+    must not call back into the log.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -152,9 +161,8 @@ class RequestLog:
                 dispatched=dispatched,
             )
             self._records.append(record)
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(record)
+            for listener in self._listeners:
+                listener(record)
         return record
 
     def add_listener(self, fn: Callable[[RequestRecord], None]) -> None:
@@ -173,46 +181,6 @@ class RequestLog:
             return len(self._records)
 
 
-class _KeyQueue:
-    """Bounded FIFO of tickets; the head ticket owns the device."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.cond = threading.Condition()
-        self.waiting: deque = deque()
-
-    def enter(self) -> Optional[object]:
-        """Take a queue slot, or None when the queue is full."""
-        with self.cond:
-            if len(self.waiting) >= self.depth:
-                return None
-            ticket = object()
-            self.waiting.append(ticket)
-            return ticket
-
-    def await_turn(self, ticket: object, timeout_s: float) -> bool:
-        """Block until the ticket reaches the head; False on timeout (slot freed)."""
-        with self.cond:
-            reached = self.cond.wait_for(
-                lambda: self.waiting and self.waiting[0] is ticket, timeout_s
-            )
-            if not reached:
-                try:
-                    self.waiting.remove(ticket)
-                except ValueError:
-                    pass
-                self.cond.notify_all()
-            return reached
-
-    def leave(self, ticket: object) -> None:
-        with self.cond:
-            try:
-                self.waiting.remove(ticket)
-            except ValueError:
-                pass
-            self.cond.notify_all()
-
-
 class RequestDispatcher:
     """Route resolution and handler execution, independent of any socket."""
 
@@ -223,8 +191,8 @@ class RequestDispatcher:
         self.registration = registration
         self.token_registry = token_registry or tunnel.default_registry()
         self.request_log = RequestLog()
-        self._queues: dict[str, _KeyQueue] = {}
-        self._queues_lock = threading.Lock()
+        self._pending: dict[Any, deque] = {}  # busy key -> jobs behind its worker's
+        self._pending_lock = threading.Lock()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
 
@@ -266,13 +234,6 @@ class RequestDispatcher:
 
     # -- execution ----------------------------------------------------------
 
-    def _queue_for(self, key: str) -> _KeyQueue:
-        with self._queues_lock:
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = _KeyQueue(self.config.per_device_queue_depth)
-            return queue
-
     def _device_key(self, route: str, env: TriggerEnvelope) -> Optional[str]:
         if route == _DEFAULT_ROUTE:
             if self.registration.default_key_fn is not None:
@@ -280,40 +241,50 @@ class RequestDispatcher:
             return env.item_id or None
         return self.registration.route_device_keys.get(route)
 
-    def _run_handler(self, handler: Callable[[str], Any], env: TriggerEnvelope,
-                     queue: Optional[_KeyQueue], ticket: Optional[object]) -> HandlerResponse:
-        """Run the handler on its own thread, bounded by the configured timeout."""
-        timeout_s = self.config.handler_timeout_ms / 1000.0
-        box: dict[str, Any] = {}
-        done = threading.Event()
+    def _run_handler(self, job: Callable[[], Any], key: Any) -> Optional[tuple]:
+        """Queue ``job`` behind ``key``; returns its (future, job) entry, or None when full.
 
-        def runner():
-            try:
-                box["value"] = handler(env.request)
-            except BaseException as exc:  # noqa: BLE001 - becomes a 500, never kills the server
-                box["error"] = exc
-            finally:
-                if queue is not None:
-                    queue.leave(ticket)
-                done.set()
+        The first job on an idle key starts the key's worker, which runs the
+        key's jobs in FIFO order and exits, dropping the key, once none are
+        left. The job in the worker's hands counts toward the queue depth.
+        """
+        entry = (futures.Future(), job)
+        with self._pending_lock:
+            pending = self._pending.get(key)
+            if pending is None:
+                self._pending[key] = deque()
+            elif len(pending) + 1 >= self.config.per_device_queue_depth:
+                return None
+            else:
+                pending.append(entry)
+                return entry
+        threading.Thread(target=self._work, args=(key, entry), daemon=True,
+                         name="worldhook-device").start()
+        return entry
 
-        thread = threading.Thread(target=runner, daemon=True, name="worldhook-handler")
-        thread.start()
-        if not done.wait(timeout_s):
-            # The runner keeps the device turn until it truly finishes.
-            return HandlerResponse.from_error(GatewayError(
-                ErrorCode.INTERNAL,
-                f"handler timed out after {self.config.handler_timeout_ms}ms",
-                env.request_id,
-            ))
-        if "error" in box:
-            exc = box["error"]
-            code = ErrorCode.DEVICE_FAULT if isinstance(exc, DeviceFaultError) else ErrorCode.INTERNAL
-            return HandlerResponse.from_error(GatewayError(code, str(exc), env.request_id))
-        return self._normalize(box.get("value"))
+    def _work(self, key: Any, entry: tuple) -> None:
+        """Run ``entry`` and then ``key``'s queued jobs; drop the key when none are left."""
+        while True:
+            future, job = entry
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(job())
+                except BaseException as exc:  # noqa: BLE001 - re-raised by future.result()
+                    future.set_exception(exc)
+            with self._pending_lock:
+                pending = self._pending[key]
+                if not pending:
+                    del self._pending[key]
+                    return
+                entry = pending.popleft()
 
     @staticmethod
-    def _normalize(result: Any) -> HandlerResponse:
+    def _invoke(handler: Callable[[str], Any], env: TriggerEnvelope) -> HandlerResponse:
+        try:
+            result = handler(env.request)
+        except BaseException as exc:  # noqa: BLE001 - becomes a 500, never kills the server
+            code = ErrorCode.DEVICE_FAULT if isinstance(exc, DeviceFaultError) else ErrorCode.INTERNAL
+            return HandlerResponse.from_error(GatewayError(code, str(exc), env.request_id))
         if isinstance(result, HandlerResponse):
             return result
         if isinstance(result, GatewayError):
@@ -388,23 +359,41 @@ class RequestDispatcher:
                                 start=start, envelope=env, route=route, dispatched=False)
 
         key = self._device_key(route, env)
-        queue = ticket = None
-        if key is not None:
-            queue = self._queue_for(key)
-            ticket = queue.enter()
-            if ticket is None:
-                err = GatewayError(ErrorCode.DEVICE_FAULT,
-                                   f"device queue full for key {key!r}", env.request_id)
-                return self._finish(HandlerResponse.from_error(err),
-                                    start=start, envelope=env, route=route, dispatched=False)
-            if not queue.await_turn(ticket, self.config.handler_timeout_ms / 1000.0):
-                err = GatewayError(ErrorCode.INTERNAL,
-                                   f"timed out waiting for device {key!r}", env.request_id)
-                return self._finish(HandlerResponse.from_error(err),
-                                    start=start, envelope=env, route=route, dispatched=False)
+        slot = object() if key is None else key
+        claim = threading.Lock()  # whoever takes it logs the request: worker or timeout
 
-        response = self._run_handler(handler, env, queue, ticket)
-        return self._finish(response, start=start, envelope=env, route=route, dispatched=True)
+        def job() -> Optional[tuple[int, bytes]]:
+            response = self._invoke(handler, env)
+            if claim.acquire(blocking=False):
+                return self._finish(response, start=start, envelope=env, route=route,
+                                    dispatched=True)
+            return None
+
+        entry = self._run_handler(job, slot)
+        if entry is None:
+            err = GatewayError(ErrorCode.DEVICE_FAULT,
+                               f"device queue full for key {key!r}", env.request_id)
+            return self._finish(HandlerResponse.from_error(err),
+                                start=start, envelope=env, route=route, dispatched=False)
+        future = entry[0]
+        try:
+            return future.result(self.config.handler_timeout_ms / 1000.0)
+        except futures.TimeoutError:  # not the builtin TimeoutError before Python 3.11
+            pass
+        if future.cancel():
+            with self._pending_lock:  # free its slot; a worker that already popped it skips it
+                pending = self._pending.get(slot, ())
+                if entry in pending:
+                    pending.remove(entry)
+            message, dispatched = f"timed out waiting for device {key!r}", False
+        else:  # the handler keeps its key until it returns
+            message = f"handler timed out after {self.config.handler_timeout_ms}ms"
+            dispatched = True
+        if not claim.acquire(blocking=False):
+            return future.result()  # the worker is logging the handler's reply
+        err = GatewayError(ErrorCode.INTERNAL, message, env.request_id)
+        return self._finish(HandlerResponse.from_error(err),
+                            start=start, envelope=env, route=route, dispatched=dispatched)
 
     def wait_idle(self, timeout_s: float) -> bool:
         with self._inflight_cond:

@@ -4,6 +4,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -89,13 +90,21 @@ class TestServe:
         proc = start_cli("serve", "--port", "0", "--log-format", "jsonl")
         try:
             url = read_line(proc)
-            requests.post(url, data=b'{"request":"hello"}', timeout=5)
-            line = read_line(proc)
-            doc = json.loads(line)
-            assert doc["status"] == 200 and doc["request"] == "hello"
+            posters = [threading.Thread(target=requests.post, args=(url,),
+                                        kwargs={"data": b'{"request":"hello"}', "timeout": 5})
+                       for _ in range(16)]
+            for t in posters:
+                t.start()
+            for t in posters:
+                t.join(10)
+            assert not any(t.is_alive() for t in posters)
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.communicate(timeout=10)
+            out, _ = proc.communicate(timeout=10)
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert all(isinstance(doc, dict) for doc in docs)
+        assert [doc["arrivalOrder"] for doc in docs] == list(range(16))
+        assert all(doc["status"] == 200 and doc["request"] == "hello" for doc in docs)
 
 
 class TestMockSmarthome:

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -21,6 +22,15 @@ from conftest import post_trigger
 
 def envelope_bytes(request: str, **meta) -> bytes:
     return json.dumps({"request": request, **meta}).encode()
+
+
+def wait_until(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestRegistration:
@@ -244,6 +254,40 @@ class TestDispatchLifecycle:
         assert status == 500
         assert "timed out" in json.loads(body)["error"]["message"]
         assert elapsed < 0.9  # did not wait for the handler
+        # the handler's late reply is dropped: one record per request
+        assert wait_until(lambda: not dispatcher._pending)
+        records = dispatcher.request_log.records()
+        assert [(r.response_status, r.dispatched) for r in records] == [(500, True)]
+
+    def test_deadline_passing_in_queue_withdraws_the_request(self):
+        release = threading.Event()
+        calls = []
+
+        def blocker(payload):
+            calls.append(payload)
+            release.wait(5)
+            return payload
+
+        dispatcher = RequestDispatcher(
+            GatewayConfig(handler_timeout_ms=200),
+            HandlerRegistration().register_route("dev", blocker))
+        first = threading.Thread(
+            target=dispatcher.handle_request, args=(envelope_bytes("a"), "/trigger/dev"))
+        first.start()
+        try:
+            assert wait_until(lambda: calls == ["a"])
+            status, body = dispatcher.handle_request(envelope_bytes("b"), "/trigger/dev")
+            first.join(5)  # "a" passes its deadline too, with its handler still running
+        finally:
+            release.set()
+        assert not first.is_alive()
+        assert status == 500
+        assert "timed out waiting for device" in json.loads(body)["error"]["message"]
+        assert wait_until(lambda: not dispatcher._pending)
+        assert calls == ["a"]  # the withdrawn request never reached the handler
+        by_request = {r.envelope.request: r for r in dispatcher.request_log.records()}
+        assert (by_request["b"].response_status, by_request["b"].dispatched) == (500, False)
+        assert (by_request["a"].response_status, by_request["a"].dispatched) == (500, True)
 
 
 class TestPerDeviceSerialization:
@@ -346,6 +390,48 @@ class TestPerDeviceSerialization:
             assert [e.command for e in fan.event_log] == log_requests
         finally:
             handle.shutdown()
+
+
+    def test_log_order_equals_execution_order_under_contention(self):
+        seen = []
+        lock = threading.Lock()
+
+        def handler(payload):
+            with lock:
+                seen.append(payload)
+            return payload
+
+        dispatcher = RequestDispatcher(GatewayConfig(),
+                                       HandlerRegistration().register_route("dev", handler))
+        threads = [
+            threading.Thread(target=dispatcher.handle_request,
+                             args=(envelope_bytes(f"c{i}"), "/trigger/dev"))
+            for i in range(32)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        logged = [r.envelope.request for r in dispatcher.request_log.records()]
+        assert len(logged) == 32
+        assert logged == seen
+
+    def test_idle_keys_leave_no_state_or_threads(self):
+        baseline = threading.active_count()
+        dispatcher = RequestDispatcher(GatewayConfig(),
+                                       HandlerRegistration().register_default(lambda p: p))
+        for i in range(50):
+            status, _ = dispatcher.handle_request(
+                envelope_bytes("x", itemId=f"item-{i}"), "/trigger")
+            assert status == 200
+        assert wait_until(lambda: not dispatcher._pending)
+        assert wait_until(lambda: threading.active_count() <= baseline)
 
 
 class TestConfigValidation:
