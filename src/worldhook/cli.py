@@ -139,7 +139,7 @@ def _print_report(report: WorldReport, log_format: str) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     registry = DeviceRegistry.load(args.devices) if args.devices else DeviceRegistry.default()
-    registration = _device_registration(registry)
+    registration = HandlerRegistration().register_devices(registry)
     if args.smarthome_base_url:
         client = SmartHomeClient(args.smarthome_base_url, args.smarthome_token)
         registration.register_default(make_gateway_handler(client))
@@ -230,21 +230,14 @@ def _finish_demo(args, report: WorldReport, checks: list[tuple[str, bool]]) -> i
     return EXIT_OK
 
 
-def _device_registration(registry: DeviceRegistry) -> HandlerRegistration:
-    registration = HandlerRegistration()
-    for key, handler in registry.handlers().items():
-        registration.register_route(key, handler)
-    return registration
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     registry = DeviceRegistry.default()
+    registration = HandlerRegistration().register_devices(registry)
     mock = None
     cleanup = None
     try:
         if args.name == "fan":
-            report, cleanup = _run_demo_scenario(args, "demo_fan.json",
-                                                 _device_registration(registry))
+            report, cleanup = _run_demo_scenario(args, "demo_fan.json", registration)
             fan: Fan = registry.get("fan")
             commands = [e.command for e in fan.event_log]
             checks = [
@@ -253,16 +246,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 ("fan final state is Stopped", fan.state.value == "Stopped"),
             ]
         elif args.name == "doorbell":
-            report, cleanup = _run_demo_scenario(args, "doorbell_offline_owner.json",
-                                                 _device_registration(registry))
+            report, cleanup = _run_demo_scenario(args, "doorbell_offline_owner.json", registration)
             bell: Doorbell = registry.get("doorbell")
             checks = [
                 ("both entries forwarded", report.forwarded_calls == 2),
                 ("chime count equals entry events", bell.chime_count == 2),
             ]
         elif args.name == "presence-lamp":
-            report, cleanup = _run_demo_scenario(args, "presence_10users.json",
-                                                 _device_registration(registry))
+            report, cleanup = _run_demo_scenario(args, "presence_10users.json", registration)
             lamp: PresenceLamp = registry.get("lamp")
             trace = [int(r) for r in report.responses_for("dome")]
             expected = [min(100, 20 * k) for k in range(1, 11)]
@@ -272,8 +263,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 ("lamp holds the final brightness", lamp.brightness == expected[-1]),
             ]
         elif args.name == "piano":
-            report, cleanup = _run_demo_scenario(args, "piano_endpoints.json",
-                                                 _device_registration(registry))
+            report, cleanup = _run_demo_scenario(args, "piano_endpoints.json", registration)
             tones = report.responses_for("piano-key")
             print(f"piano endpoints: {' '.join(tones)}")
             checks = [
@@ -286,7 +276,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
             else:
                 mock = start_mock(default_workshop_fixture(args.smarthome_token))
                 client = SmartHomeClient(mock.base_url, mock.token)
-            registration = _device_registration(registry)
             registration.register_default(make_gateway_handler(client))
             report, cleanup = _run_demo_scenario(args, "smarthome_bulb.json", registration)
             status = client.get_status("bulb-1")

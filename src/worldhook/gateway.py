@@ -30,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 from . import tunnel
-from .devices import DeviceFaultError
+from .devices import DeviceFaultError, DeviceRegistry
 from .envelope import (
     ErrorCode,
     GatewayError,
@@ -118,6 +118,12 @@ class HandlerRegistration:
             raise RegistrationError(f"route {name!r} is already registered")
         self.named_routes[name] = handler
         self.route_device_keys[name] = name if device_key is self._UNSET else device_key
+        return self
+
+    def register_devices(self, registry: DeviceRegistry) -> "HandlerRegistration":
+        """Register each device of ``registry`` as a route named by its key."""
+        for key, handler in registry.handlers().items():
+            self.register_route(key, handler)
         return self
 
     def has_handlers(self) -> bool:

@@ -15,6 +15,7 @@ is reachable from the network no matter what the payload says.
 
 from __future__ import annotations
 
+import http.client
 import inspect
 import json
 import re
@@ -24,8 +25,7 @@ from enum import Enum
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Optional
-
-import requests
+from urllib.parse import quote, unquote
 
 from .envelope import (
     ErrorCode,
@@ -36,6 +36,7 @@ from .envelope import (
     canonical_json,
     parse_smarthome_request,
 )
+from .httpclient import Session
 
 DEFAULT_TOKEN = "workshop-token"
 API_PREFIX = "/v1.1"
@@ -254,7 +255,7 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
             return
         status_match = _STATUS_PATH.match(self.path)
         if status_match:
-            device_id = status_match.group(1)
+            device_id = unquote(status_match.group(1))
             with state.lock:
                 dev = state.devices.get(device_id)
                 body = None if dev is None else {"deviceId": dev.device_id,
@@ -276,7 +277,7 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
         if not command_match:
             self._reply(404, "no such endpoint", {})
             return
-        device_id = command_match.group(1)
+        device_id = unquote(command_match.group(1))
         try:
             length = int(self.headers.get("Content-Length") or 0)
             doc = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -368,21 +369,21 @@ class SmartHomeClient:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout_s = timeout_s
-        self._session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=32)
-        self._session.mount("http://", adapter)
+        self._session = Session()
 
     def _request(self, method: str, path: str, payload: Optional[dict] = None) -> Any:
         url = self.base_url + path
+        headers = {"Authorization": self.token}
+        body = None
         try:
-            response = self._session.request(
-                method, url, json=payload,
-                headers={"Authorization": self.token}, timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
+            if payload is not None:
+                headers["Content-Type"] = "application/json"
+                body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            response = self._session.request(method, url, body, headers, self.timeout_s)
+        except (ValueError, OSError, http.client.HTTPException) as exc:
             raise SmartHomeTransportError(f"{method} {url}: {exc}") from exc
         try:
-            doc = response.json()
+            doc = json.loads(response.text)
         except ValueError as exc:
             raise SmartHomeTransportError(f"non-JSON reply from {url}") from exc
         message = doc.get("message", "")
@@ -412,11 +413,12 @@ class SmartHomeClient:
         return devices
 
     def get_status(self, device_id: str) -> DeviceStatus:
-        return self._status_from(self._request("GET", f"{API_PREFIX}/devices/{device_id}/status"))
+        path = f"{API_PREFIX}/devices/{quote(str(device_id), safe='')}/status"
+        return self._status_from(self._request("GET", path))
 
     def send_command(self, device_id: str, cmd: CommandRequest) -> DeviceStatus:
-        body = self._request("POST", f"{API_PREFIX}/devices/{device_id}/commands",
-                             cmd.to_json_dict())
+        path = f"{API_PREFIX}/devices/{quote(str(device_id), safe='')}/commands"
+        body = self._request("POST", path, cmd.to_json_dict())
         return self._status_from(body)
 
     def turn_on(self, device_id: str) -> DeviceStatus:

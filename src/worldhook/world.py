@@ -25,6 +25,7 @@ event. JSON payloads pass through untouched since ``$`` is the only marker.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import time
@@ -35,9 +36,8 @@ from pathlib import Path
 from string import Template
 from typing import Any, Callable, Optional
 
-import requests
-
 from .envelope import TriggerEnvelope, canonical_json, encode_envelope
+from .httpclient import Response, Session
 
 DEFAULT_MAX_CALLS = 5
 DEFAULT_WINDOW_MS = 1000
@@ -228,7 +228,7 @@ class World:
 
     def __init__(self, *, world_id: str = "world", seed: int = 0,
                  limiter: Optional[RateLimiter] = None,
-                 session: Optional[requests.Session] = None,
+                 session: Optional[Session] = None,
                  call_timeout_s: float = 10.0):
         self.world_id = world_id
         self.seed = seed
@@ -238,7 +238,7 @@ class World:
         self.limiter = limiter or RateLimiter()
         self.calls: list[CallRecord] = []
         self._rng = random.Random(seed)
-        self._session = session or requests.Session()
+        self._session = session or Session()
         self._call_timeout_s = call_timeout_s
 
     # -- construction -------------------------------------------------------
@@ -334,7 +334,7 @@ class World:
                 headers={"Content-Type": "application/json; charset=utf-8"},
                 timeout=self._call_timeout_s,
             )
-        except requests.RequestException:
+        except (OSError, http.client.HTTPException):
             record = CallRecord(seq, self.t_ms, user.user_id, item_id, payload, "failed")
             self.calls.append(record)
             return record
@@ -358,9 +358,9 @@ class World:
         )
 
 
-def _extract_response_text(reply: requests.Response) -> str:
+def _extract_response_text(reply: Response) -> str:
     try:
-        doc = reply.json()
+        doc = json.loads(reply.text)
     except ValueError:
         return reply.text
     if isinstance(doc, dict):
@@ -479,7 +479,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def build_world(scenario: Scenario, gateway_url: str, *,
-                session: Optional[requests.Session] = None,
+                session: Optional[Session] = None,
                 call_timeout_s: float = 10.0) -> World:
     """Instantiate a world with the scenario's users and template items."""
     world = World(
@@ -499,7 +499,7 @@ def build_world(scenario: Scenario, gateway_url: str, *,
 
 def run_scenario(scenario: Scenario, gateway_url: str, *,
                  world: Optional[World] = None,
-                 session: Optional[requests.Session] = None,
+                 session: Optional[Session] = None,
                  real_time: bool = False,
                  call_timeout_s: float = 10.0) -> WorldReport:
     """Replay a scenario against a gateway URL and return the world report.

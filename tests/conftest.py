@@ -28,9 +28,7 @@ class GatewayEnv:
 
     def __init__(self, config=None):
         self.registry = DeviceRegistry.default()
-        self.registration = HandlerRegistration()
-        for key, handler in self.registry.handlers().items():
-            self.registration.register_route(key, handler)
+        self.registration = HandlerRegistration().register_devices(self.registry)
         self.tokens = TokenRegistry()
         self.handle = run(config or GatewayConfig(), self.registration, self.tokens)
         self.endpoint = open_tunnel(TunnelMode.LOOPBACK, self.handle.port,

@@ -221,9 +221,7 @@ def test_criterion_07_dispatch_oracle_equivalence():
 def test_criterion_08_smarthome_end_to_end():
     mock = start_mock()
     registry = DeviceRegistry.default()
-    registration = HandlerRegistration()
-    for key, handler in registry.handlers().items():
-        registration.register_route(key, handler)
+    registration = HandlerRegistration().register_devices(registry)
     client = SmartHomeClient(mock.base_url, mock.token)
     registration.register_default(make_gateway_handler(client))
     tokens = TokenRegistry()

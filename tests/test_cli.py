@@ -200,6 +200,15 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "FAILED" not in out
 
+    def test_smarthome_demo_runs_without_requests(self):
+        code = ("import sys\n"
+                "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
+                "from worldhook import cli\n"
+                "sys.exit(cli.main(['demo', 'smarthome']))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     def test_piano_demo_prints_endpoints(self, capsys):
         cli.main(["demo", "piano"])
         out = capsys.readouterr().out

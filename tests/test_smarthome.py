@@ -1,10 +1,14 @@
 import random
 import string
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
 import requests
 
+from worldhook import smarthome
 from worldhook.envelope import ErrorCode, ResponseStatus, SmartHomeRequest, canonical_json
 from worldhook.smarthome import (
     ALLOW_LIST,
@@ -13,8 +17,10 @@ from worldhook.smarthome import (
     SmartHomeAuthError,
     SmartHomeClient,
     SmartHomeCommandError,
+    SmartHomeDevice,
     SmartHomeNotFoundError,
     SmartHomeTransportError,
+    default_state,
     default_workshop_fixture,
     dispatch,
     make_gateway_handler,
@@ -136,6 +142,67 @@ class TestClient:
         client = SmartHomeClient("http://127.0.0.1:1", "t", timeout_s=0.5)
         with pytest.raises(SmartHomeTransportError):
             client.list_devices()
+
+    def test_device_ids_are_quoted_in_paths(self):
+        kinds = {"desk lamp": DeviceType.BULB, "lampe-\u00fc": DeviceType.PLUG,
+                 "bulb-1": DeviceType.BULB}
+        fixture = Fixture(devices=[SmartHomeDevice(i, t, i, default_state(t))
+                                   for i, t in kinds.items()])
+        handle = start_mock(fixture)
+        try:
+            client = SmartHomeClient(handle.base_url, handle.token)
+            assert client.get_status("desk lamp").device_id == "desk lamp"
+            assert client.turn_on("lampe-\u00fc").state["power"] == "on"
+            assert client.get_status("lampe-\u00fc").state["power"] == "on"
+            for device_id in ("a/b", "%62ulb-1"):
+                for name in ("get_status", "turn_on"):
+                    response = dispatch(SmartHomeRequest(name, [device_id]), client)
+                    assert response.status is ResponseStatus.NOT_FOUND, (device_id, response)
+                    assert response.body.code is ErrorCode.DEVICE_FAULT
+            assert client.get_status("bulb-1").state["power"] == "off"
+        finally:
+            handle.shutdown()
+
+    def test_connection_closed_by_idle_server_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(smarthome._MockRequestHandler, "timeout", 0.2)
+        handle = start_mock()
+        try:
+            client = SmartHomeClient(handle.base_url, handle.token)
+            client.press("bot-1")
+            time.sleep(0.6)  # the mock closes the idle keep-alive connection
+            client.press("bot-1")
+            assert handle.presses == ["bot-1", "bot-1"]
+        finally:
+            handle.shutdown()
+
+    def test_shared_client_under_thread_contention(self):
+        # One client, one connection pool, more threads than cores: every
+        # command is applied exactly once and no thread sees a transport error.
+        handle = start_mock()
+        client = SmartHomeClient(handle.base_url, handle.token)
+        errors = []
+
+        def worker():
+            for _ in range(10):
+                try:
+                    client.press("bot-2")
+                except SmartHomeTransportError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            handle.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert handle.presses == ["bot-2"] * 80
 
 
 class TestMockHttpSurface:

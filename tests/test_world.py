@@ -260,6 +260,24 @@ class TestRunScenario:
         assert report.failed_calls == 3
         assert report.forwarded_calls == 0
 
+    def test_non_ascii_route_is_percent_encoded(self, device_gateway):
+        doc = scenario_doc(items=[{"itemId": "fan", "kind": "Clickable",
+                                   "script": {"targetRoute": "/f\u00e4n x",
+                                              "payloadTemplate": "on"}}])
+        report = run_scenario(parse_scenario(json.dumps(doc)), device_gateway.trigger_url)
+        (call,) = report.calls
+        assert (call.outcome, call.status) == ("forwarded", 404)
+        assert call.response == "no route for '/trigger/f%C3%A4n%20x'"
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:{port}/trigger", "ftp://127.0.0.1/x",
+                                     "http:///x", "https://127.0.0.1:{port}/trigger",
+                                     "http://a..b/trigger"])
+    def test_unusable_gateway_url_marks_all_failed(self, device_gateway, url):
+        scenario = load_scenario(FIXTURES / "fan_3users.json")
+        report = run_scenario(scenario, url.format(port=device_gateway.handle.port))
+        assert report.failed_calls == 3
+        assert report.forwarded_calls == 0
+
     def test_random_click_sequences_follow_arrival_order_oracle(self, device_gateway):
         # Derived oracle: final fan state = last forwarded command rule applied
         # to the request log's arrival order.
