@@ -179,10 +179,7 @@ def cmd_mock_smarthome(args: argparse.Namespace) -> int:
         fixture = Fixture.load(args.fixture)
     else:
         fixture = default_workshop_fixture(args.smarthome_token)
-    try:
-        handle = start_mock(fixture, args.port)
-    except OSError as exc:
-        raise GatewayStartupError(f"cannot bind port {args.port}: {exc}") from exc
+    handle = start_mock(fixture, args.port)
     print(handle.base_url, flush=True)
     try:
         _serve_until_interrupted()

@@ -169,7 +169,7 @@ def decode_envelope(raw: bytes) -> Union[TriggerEnvelope, GatewayError]:
     """
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting, huge ints
         return GatewayError(ErrorCode.MALFORMED_ENVELOPE, f"body is not JSON: {exc}")
     if not isinstance(doc, dict):
         return GatewayError(ErrorCode.MALFORMED_ENVELOPE, "body is not a JSON object")
@@ -197,15 +197,21 @@ def decode_envelope(raw: bytes) -> Union[TriggerEnvelope, GatewayError]:
     return TriggerEnvelope(**fields)
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_smarthome_request(payload: str) -> Union[SmartHomeRequest, GatewayError]:
     """Parse an envelope's ``request`` string as a smart-home command.
 
     ``args`` and ``kwargs`` default to empty when absent. Key order inside
-    ``kwargs`` is not significant.
+    ``kwargs`` is not significant. ``NaN`` and ``Infinity`` are rejected: they
+    are not JSON, and the cloud API could not be sent them. Total: returns a
+    GatewayError rather than raising, whatever the input text.
     """
     try:
-        doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(payload, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # bad JSON, NaN, deep nesting, huge ints
         return GatewayError(ErrorCode.MALFORMED_PAYLOAD, f"payload is not JSON: {exc}")
     if not isinstance(doc, dict):
         return GatewayError(ErrorCode.MALFORMED_PAYLOAD, "payload is not a JSON object")

@@ -16,6 +16,9 @@ one deadline, ``handler_timeout_ms`` from submission, covering its queue wait
 and its handler. A request still queued at the deadline is withdrawn with a
 500; a handler still running gets a 500 while it finishes in the background,
 still holding its key so mutual exclusion per device is never violated.
+
+Transport: the gateway is an app on :class:`worldhook.httpserver.Server`, the
+threaded HTTP/1.1 keep-alive server that the mock smart-home cloud runs on too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import time
 from collections import deque
 from concurrent import futures
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 from . import tunnel
@@ -39,6 +41,7 @@ from .envelope import (
     decode_envelope,
     serialize_response,
 )
+from .httpserver import GatewayStartupError, Server  # noqa: F401 - the error is re-exported
 
 DEFAULT_ROUTE_PREFIX = "/trigger"
 _ROUTE_NAME_RE = re.compile(r"[A-Za-z0-9._~-]+")
@@ -47,10 +50,6 @@ _DEFAULT_ROUTE = ""  # sentinel route name for the default handler
 
 class RegistrationError(Exception):
     """Invalid handler registration (duplicate slot, bad route name)."""
-
-
-class GatewayStartupError(Exception):
-    """The server could not start (typically: port already in use)."""
 
 
 @dataclass
@@ -77,47 +76,28 @@ class HandlerRegistration:
     A handler is ``f(payload: str) -> result`` where the result may be a
     plain string, any JSON value, a :class:`HandlerResponse`, a
     :class:`GatewayError`, or None (normalized to an empty-string OK).
-    Named routes serialize under their route name as device key unless told
-    otherwise. ``pre_dispatch`` is an optional hook called with (envelope,
-    route) before the handler; returning a GatewayError rejects the request.
+    Named routes serialize under their route name as device key; the default
+    route serializes under the envelope's item id (none when empty).
     """
-
-    _UNSET = object()
 
     def __init__(self):
         self.default_handler: Optional[Callable[[str], Any]] = None
-        self.default_key_fn: Optional[Callable[[TriggerEnvelope], Optional[str]]] = None
         self.named_routes: dict[str, Callable[[str], Any]] = {}
-        self.route_device_keys: dict[str, Optional[str]] = {}
-        self.pre_dispatch: Optional[
-            Callable[[TriggerEnvelope, str], Optional[GatewayError]]
-        ] = None
 
-    def register_default(
-        self,
-        handler: Callable[[str], Any],
-        key_fn: Optional[Callable[[TriggerEnvelope], Optional[str]]] = None,
-    ) -> "HandlerRegistration":
-        """Register the default handler. A second registration is an error.
-
-        Requests through the default route serialize under ``key_fn(envelope)``
-        when given, otherwise under the envelope's item id (none when empty).
-        """
+    def register_default(self, handler: Callable[[str], Any]) -> "HandlerRegistration":
+        """Register the default handler. A second registration is an error."""
         if self.default_handler is not None:
             raise RegistrationError("a default handler is already registered")
         self.default_handler = handler
-        self.default_key_fn = key_fn
         return self
 
-    def register_route(self, name: str, handler: Callable[[str], Any],
-                       device_key: Any = _UNSET) -> "HandlerRegistration":
-        """Register a named route; ``device_key`` defaults to the route name."""
+    def register_route(self, name: str, handler: Callable[[str], Any]) -> "HandlerRegistration":
+        """Register a named route, serialized under its name as device key."""
         if not _ROUTE_NAME_RE.fullmatch(name):
             raise RegistrationError(f"route name {name!r} is not URL-safe")
         if name in self.named_routes:
             raise RegistrationError(f"route {name!r} is already registered")
         self.named_routes[name] = handler
-        self.route_device_keys[name] = name if device_key is self._UNSET else device_key
         return self
 
     def register_devices(self, registry: DeviceRegistry) -> "HandlerRegistration":
@@ -175,12 +155,9 @@ class RequestLog:
         with self._lock:
             self._listeners.append(fn)
 
-    def records(self, dispatched_only: bool = False) -> list[RequestRecord]:
+    def records(self) -> list[RequestRecord]:
         with self._lock:
-            records = list(self._records)
-        if dispatched_only:
-            records = [r for r in records if r.dispatched]
-        return records
+            return list(self._records)
 
     def __len__(self) -> int:
         with self._lock:
@@ -240,12 +217,11 @@ class RequestDispatcher:
 
     # -- execution ----------------------------------------------------------
 
-    def _device_key(self, route: str, env: TriggerEnvelope) -> Optional[str]:
+    @staticmethod
+    def _device_key(route: str, env: TriggerEnvelope) -> Optional[str]:
         if route == _DEFAULT_ROUTE:
-            if self.registration.default_key_fn is not None:
-                return self.registration.default_key_fn(env)
             return env.item_id or None
-        return self.registration.route_device_keys.get(route)
+        return route
 
     def _run_handler(self, job: Callable[[], Any], key: Any) -> Optional[tuple]:
         """Queue ``job`` behind ``key``; returns its (future, job) entry, or None when full.
@@ -348,12 +324,6 @@ class RequestDispatcher:
                                 start=start, envelope=None, route=route, dispatched=False)
         env = decoded
 
-        if self.registration.pre_dispatch is not None:
-            rejection = self.registration.pre_dispatch(env, route)
-            if rejection is not None:
-                return self._finish(HandlerResponse.from_error(rejection),
-                                    start=start, envelope=env, route=route, dispatched=False)
-
         if route == _DEFAULT_ROUTE:
             handler = self.registration.default_handler
         else:
@@ -406,46 +376,6 @@ class RequestDispatcher:
             return self._inflight_cond.wait_for(lambda: self._inflight == 0, timeout_s)
 
 
-class _GatewayHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    block_on_close = False
-    request_queue_size = 128
-    dispatcher: RequestDispatcher  # attached by run()
-
-
-class _GatewayRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    timeout = 30
-
-    def _respond(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _serve(self, method: str) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length > 0 else b""
-        status, body = self.server.dispatcher.handle_request(raw, self.path, method)
-        try:
-            self._respond(status, body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; the request is already logged
-
-    def do_POST(self):
-        self._serve("POST")
-
-    def do_GET(self):
-        self._serve("GET")
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request logging goes through RequestLog, not stderr
-
-
 @dataclass
 class ServerHandle:
     """A running gateway: bound port, its request log, and shutdown."""
@@ -453,8 +383,7 @@ class ServerHandle:
     port: int
     request_log: RequestLog
     dispatcher: RequestDispatcher
-    _server: _GatewayHTTPServer
-    _thread: threading.Thread
+    _server: Server
     _closed: bool = field(default=False)
     _close_lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -466,16 +395,20 @@ class ServerHandle:
     def trigger_url(self) -> str:
         return self.base_url + self.dispatcher.config.route_prefix
 
+    @property
+    def _thread(self) -> threading.Thread:
+        """The accept-loop thread; alive while the gateway serves."""
+        return self._server.thread
+
     def shutdown(self) -> None:
         """Stop listening, let in-flight requests finish (bounded), close. Idempotent."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        self._server.shutdown()
+        self._server.stop_listening()
         self.dispatcher.wait_idle(self.dispatcher.config.handler_timeout_ms / 1000.0)
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+        self._server.close()
 
 
 def run(config: GatewayConfig, registration: HandlerRegistration,
@@ -484,21 +417,11 @@ def run(config: GatewayConfig, registration: HandlerRegistration,
     if not registration.has_handlers():
         raise RegistrationError("at least one handler must be registered before run()")
     dispatcher = RequestDispatcher(config, registration, token_registry)
-    try:
-        server = _GatewayHTTPServer(("127.0.0.1", config.bind_port), _GatewayRequestHandler)
-    except OSError as exc:
-        raise GatewayStartupError(f"cannot bind port {config.bind_port}: {exc}") from exc
-    server.dispatcher = dispatcher
-    thread = threading.Thread(target=server.serve_forever, daemon=True,
-                              name="worldhook-gateway")
-    thread.start()
-    return ServerHandle(
-        port=server.server_address[1],
-        request_log=dispatcher.request_log,
-        dispatcher=dispatcher,
-        _server=server,
-        _thread=thread,
-    )
+    server = Server(lambda method, path, headers, body:
+                    dispatcher.handle_request(body, path, method),
+                    config.bind_port, "worldhook-gateway")
+    return ServerHandle(port=server.port, request_log=dispatcher.request_log,
+                        dispatcher=dispatcher, _server=server)
 
 
 class GatewayApp:
@@ -521,9 +444,9 @@ class GatewayApp:
         self.registration.register_default(handler)
         return handler
 
-    def route(self, name: str, device_key: Any = HandlerRegistration._UNSET):
+    def route(self, name: str):
         def decorator(handler: Callable[[str], Any]) -> Callable[[str], Any]:
-            self.registration.register_route(name, handler, device_key)
+            self.registration.register_route(name, handler)
             return handler
         return decorator
 

@@ -6,7 +6,8 @@ The mock server speaks a v1.1-style REST shape over bearer-token auth::
     POST /v1.1/devices/{id}/commands      {"command", "parameter", "commandType"}
     GET  /v1.1/devices/{id}/status
 
-with every response wrapped as ``{"statusCode", "message", "body"}``. The
+with every response wrapped as ``{"statusCode", "message", "body"}``. It runs
+on :class:`worldhook.httpserver.Server`, as the gateway does. The
 client is a thin typed wrapper over those endpoints, and ``dispatch`` executes
 command payloads of the form ``{"function_name", "args", "kwargs"}`` against
 the client through an explicit allow-list table, so nothing outside that table
@@ -22,9 +23,8 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 from urllib.parse import quote, unquote
 
 from .envelope import (
@@ -37,6 +37,7 @@ from .envelope import (
     parse_smarthome_request,
 )
 from .httpclient import Session
+from .httpserver import App, Server
 
 DEFAULT_TOKEN = "workshop-token"
 API_PREFIX = "/v1.1"
@@ -220,98 +221,68 @@ class _MockState:
         self.presses: list[str] = []  # device ids, in actuation order
 
 
-class _MockHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    block_on_close = False
-    state: _MockState
+def _reply(http_status: int, message: str, body: Any) -> tuple[int, bytes]:
+    doc = {"statusCode": 100 if http_status == 200 else http_status,
+           "message": message, "body": body}
+    return http_status, json.dumps(doc, ensure_ascii=False).encode("utf-8")
 
 
-class _MockRequestHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    timeout = 30
+def _mock_app(state: _MockState) -> App:
+    """The mock cloud as an app for :class:`~worldhook.httpserver.Server`."""
 
-    def _reply(self, http_status: int, message: str, body: Any) -> None:
-        doc = {"statusCode": 100 if http_status == 200 else http_status,
-               "message": message, "body": body}
-        payload = json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        self.send_response(http_status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _authorized(self) -> bool:
-        return self.headers.get("Authorization") == self.server.state.token
-
-    def do_GET(self):
-        state = self.server.state
-        if not self._authorized():
-            self._reply(401, "unauthorized", {})
-            return
-        if _DEVICES_PATH.match(self.path):
-            with state.lock:
-                listing = [dev.to_json_dict() for dev in state.devices.values()]
-            self._reply(200, "success", {"deviceList": listing})
-            return
-        status_match = _STATUS_PATH.match(self.path)
-        if status_match:
+    def app(method: str, path: str, headers: Mapping[str, str], body: bytes) -> tuple[int, bytes]:
+        if headers.get("Authorization") != state.token:
+            return _reply(401, "unauthorized", {})
+        if method == "GET":
+            if _DEVICES_PATH.match(path):
+                with state.lock:
+                    listing = [dev.to_json_dict() for dev in state.devices.values()]
+                return _reply(200, "success", {"deviceList": listing})
+            status_match = _STATUS_PATH.match(path)
+            if not status_match:
+                return _reply(404, "no such endpoint", {})
             device_id = unquote(status_match.group(1))
             with state.lock:
                 dev = state.devices.get(device_id)
-                body = None if dev is None else {"deviceId": dev.device_id,
-                                                 "deviceType": dev.device_type.value,
-                                                 **dev.state}
-            if body is None:
-                self._reply(404, f"device {device_id!r} not found", {})
-            else:
-                self._reply(200, "success", body)
-            return
-        self._reply(404, "no such endpoint", {})
-
-    def do_POST(self):
-        state = self.server.state
-        if not self._authorized():
-            self._reply(401, "unauthorized", {})
-            return
-        command_match = _COMMANDS_PATH.match(self.path)
+                if dev is None:
+                    return _reply(404, f"device {device_id!r} not found", {})
+                status = {"deviceId": dev.device_id, "deviceType": dev.device_type.value,
+                          **dev.state}
+            return _reply(200, "success", status)
+        command_match = _COMMANDS_PATH.match(path)
         if not command_match:
-            self._reply(404, "no such endpoint", {})
-            return
+            return _reply(404, "no such endpoint", {})
         device_id = unquote(command_match.group(1))
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            doc = json.loads(self.rfile.read(length).decode("utf-8"))
-            command = doc["command"]
-            parameter = doc.get("parameter", "default")
-        except (ValueError, KeyError, UnicodeDecodeError):
-            self._reply(400, "malformed command body", {})
-            return
+            doc = json.loads(body.decode("utf-8"))
+        except (ValueError, RecursionError):  # includes bad UTF-8 and over-long int literals
+            doc = None
+        if not isinstance(doc, dict) or "command" not in doc:
+            return _reply(400, "malformed command body", {})
         with state.lock:
             dev = state.devices.get(device_id)
             if dev is None:
-                self._reply(404, f"device {device_id!r} not found", {})
-                return
+                return _reply(404, f"device {device_id!r} not found", {})
             try:
-                dev.state = apply_command(dev.device_type, dev.state, command, parameter)
+                dev.state = apply_command(dev.device_type, dev.state, doc["command"],
+                                          doc.get("parameter", "default"))
             except CommandError as exc:
-                self._reply(400, str(exc), {})
-                return
-            if command == "press":
+                return _reply(400, str(exc), {})
+            if doc["command"] == "press":
                 state.presses.append(device_id)
-            body = {"deviceId": dev.device_id, "deviceType": dev.device_type.value,
-                    **dev.state}
-        self._reply(200, "success", body)
+            status = {"deviceId": dev.device_id, "deviceType": dev.device_type.value,
+                      **dev.state}
+        return _reply(200, "success", status)
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    return app
 
 
 @dataclass
 class MockServerHandle:
     port: int
     token: str
-    _server: _MockHTTPServer
-    _thread: threading.Thread
+    _state: _MockState
+    _server: Server
 
     @property
     def base_url(self) -> str:
@@ -319,25 +290,23 @@ class MockServerHandle:
 
     @property
     def presses(self) -> list[str]:
-        with self._server.state.lock:
-            return list(self._server.state.presses)
+        with self._state.lock:
+            return list(self._state.presses)
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
+        self._server.stop_listening()
+        self._server.close()
 
 
 def start_mock(fixture: Optional[Fixture] = None, port: int = 0) -> MockServerHandle:
-    """Start the in-memory mock cloud; port 0 picks an ephemeral port."""
+    """Start the in-memory mock cloud; port 0 picks an ephemeral port.
+
+    Raises GatewayStartupError when the port cannot be bound.
+    """
     fixture = fixture if fixture is not None else default_workshop_fixture()
-    server = _MockHTTPServer(("127.0.0.1", port), _MockRequestHandler)
-    server.state = _MockState(fixture)
-    thread = threading.Thread(target=server.serve_forever, daemon=True,
-                              name="worldhook-mock-cloud")
-    thread.start()
-    return MockServerHandle(port=server.server_address[1], token=fixture.token,
-                            _server=server, _thread=thread)
+    state = _MockState(fixture)
+    server = Server(_mock_app(state), port, "worldhook-mock-cloud")
+    return MockServerHandle(port=server.port, token=fixture.token, _state=state, _server=server)
 
 
 # -- client --------------------------------------------------------------------

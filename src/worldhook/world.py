@@ -28,7 +28,6 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -500,7 +499,6 @@ def build_world(scenario: Scenario, gateway_url: str, *,
 def run_scenario(scenario: Scenario, gateway_url: str, *,
                  world: Optional[World] = None,
                  session: Optional[Session] = None,
-                 real_time: bool = False,
                  call_timeout_s: float = 10.0) -> WorldReport:
     """Replay a scenario against a gateway URL and return the world report.
 
@@ -511,8 +509,6 @@ def run_scenario(scenario: Scenario, gateway_url: str, *,
         world = build_world(scenario, gateway_url,
                             session=session, call_timeout_s=call_timeout_s)
     for event in scenario.events:
-        if real_time and event.t_ms > world.t_ms:
-            time.sleep((event.t_ms - world.t_ms) / 1000.0)
         world.t_ms = event.t_ms
         if event.action is Action.JOIN:
             world.join(event.user_id)

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from worldhook.envelope import (
     ErrorCode,
@@ -152,6 +153,53 @@ class TestParseSmartHomeRequest:
         req = parse_smarthome_request('{"kwargs":{"b":2,"a":1},"function_name":"f","args":[3]}')
         again = parse_smarthome_request(req.to_payload())
         assert again == req
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+def nested(depth: int, opener: str) -> str:
+    """``depth`` nested arrays or objects around one number."""
+    if opener == "[":
+        return "[" * depth + "1" + "]" * depth
+    return '{"a":' * depth + "1" + "}" * depth
+
+
+class TestTotality:
+    """Both parsers return a value, never raise, whatever arrives on the wire."""
+
+    @staticmethod
+    def check(text: str) -> None:
+        assert isinstance(decode_envelope(text.encode("utf-8")),
+                          (TriggerEnvelope, GatewayError))
+        parsed = parse_smarthome_request(text)
+        assert isinstance(parsed, (SmartHomeRequest, GatewayError))
+        if isinstance(parsed, SmartHomeRequest):  # what parses can be sent to the cloud
+            json.dumps([parsed.args, parsed.kwargs], allow_nan=False)
+
+    @given(st.binary())
+    def test_bytes(self, raw):
+        assert isinstance(decode_envelope(raw), (TriggerEnvelope, GatewayError))
+        assert isinstance(parse_smarthome_request(raw.decode("utf-8", "replace")),
+                          (SmartHomeRequest, GatewayError))
+
+    @given(st.text())
+    def test_text(self, text):
+        self.check(text)
+
+    @given(JSON_VALUES)
+    def test_json_documents(self, value):
+        self.check(json.dumps(value))
+        self.check(json.dumps({"request": json.dumps(value), "timestampMs": value}))
+        self.check(json.dumps({"function_name": "f", "args": [value], "kwargs": {"k": value}}))
+
+    @given(st.integers(min_value=0, max_value=200_000), st.sampled_from("[{"))
+    def test_deep_nesting(self, depth, opener):
+        self.check(nested(depth, opener))
+        self.check('{"request":"x","args":' + nested(depth, opener) + "}")
 
 
 class TestSerializeResponse:

@@ -17,7 +17,12 @@ from worldhook.gateway import (
     RequestDispatcher,
     run,
 )
+from worldhook.smarthome import make_gateway_handler
 from conftest import post_trigger
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+HUGE_INT = "1" * 5000  # over CPython's int/str conversion limit of 4300 digits
 
 
 def envelope_bytes(request: str, **meta) -> bytes:
@@ -214,6 +219,29 @@ class TestDispatchLifecycle:
         assert status == 500
         assert json.loads(body)["error"]["code"] == "DeviceFault"
 
+    @pytest.mark.parametrize("body", [
+        DEEP_JSON,
+        '{"request":"x","timestampMs":' + HUGE_INT + '}',
+    ], ids=["deep-nesting", "huge-int"])
+    def test_hostile_envelope_is_400(self, dispatcher, body):
+        status, reply = dispatcher.handle_request(body.encode(), "/trigger")
+        assert (status, json.loads(reply)["error"]["code"]) == (400, "MalformedEnvelope")
+
+    @pytest.mark.parametrize("payload", [
+        DEEP_JSON,
+        '{"function_name":"set_brightness","args":["bulb-1",' + HUGE_INT + ']}',
+        '{"function_name":"set_brightness","args":["bulb-1",NaN]}',
+        '{"function_name":"set_brightness","args":["bulb-1",Infinity]}',
+        '{"function_name":"set_brightness","kwargs":{"device_id":"bulb-1","level":-Infinity}}',
+    ], ids=["deep-nesting", "huge-int", "nan", "infinity", "minus-infinity"])
+    def test_hostile_smarthome_payload_is_400(self, mock_cloud, payload):
+        _, client = mock_cloud
+        dispatcher = RequestDispatcher(
+            GatewayConfig(), HandlerRegistration().register_default(make_gateway_handler(client)))
+        status, reply = dispatcher.handle_request(envelope_bytes(payload), "/trigger")
+        assert (status, json.loads(reply)["error"]["code"]) == (400, "MalformedPayload")
+        assert client.get_status("bulb-1").state == {"power": "off", "brightness": 100}
+
     def test_handler_returning_gateway_error(self):
         registration = HandlerRegistration().register_default(
             lambda p: GatewayError(ErrorCode.MALFORMED_PAYLOAD, "bad payload"))
@@ -227,18 +255,6 @@ class TestDispatchLifecycle:
         dispatcher = RequestDispatcher(GatewayConfig(), registration)
         status, body = dispatcher.handle_request(envelope_bytes("x"), "/trigger")
         assert (status, json.loads(body)) == (200, {"response": ""})
-
-    def test_pre_dispatch_filter_rejects(self):
-        registration = HandlerRegistration().register_default(lambda p: p)
-        registration.pre_dispatch = lambda env, route: (
-            GatewayError(ErrorCode.MALFORMED_ENVELOPE, "no auth", env.request_id)
-            if env.user_id != "trusted" else None)
-        dispatcher = RequestDispatcher(GatewayConfig(), registration)
-        status, _ = dispatcher.handle_request(envelope_bytes("x", userId="evil"), "/trigger")
-        assert status == 400
-        status, _ = dispatcher.handle_request(envelope_bytes("x", userId="trusted"), "/trigger")
-        assert status == 200
-        assert [r.dispatched for r in dispatcher.request_log.records()] == [False, True]
 
     def test_timeout_maps_to_500(self):
         def sleepy(payload):

@@ -1,4 +1,7 @@
+import http.client
+import json
 import random
+import socket
 import string
 import sys
 import threading
@@ -8,7 +11,7 @@ from collections import Counter
 import pytest
 import requests
 
-from worldhook import smarthome
+from worldhook import GatewayStartupError, httpserver
 from worldhook.envelope import ErrorCode, ResponseStatus, SmartHomeRequest, canonical_json
 from worldhook.smarthome import (
     ALLOW_LIST,
@@ -27,6 +30,15 @@ from worldhook.smarthome import (
     result_to_canonical_json,
     start_mock,
 )
+
+
+def raw_exchange(sock: socket.socket, request: str) -> tuple[int, bytes]:
+    """Send one hand-framed request on ``sock``; return its reply's status and body."""
+    sock.sendall(request.encode("utf-8"))
+    reply = http.client.HTTPResponse(sock)
+    reply.begin()
+    return reply.status, reply.read()
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: a from-scratch interpretation of the command rules,
@@ -164,7 +176,7 @@ class TestClient:
             handle.shutdown()
 
     def test_connection_closed_by_idle_server_is_replaced(self, monkeypatch):
-        monkeypatch.setattr(smarthome._MockRequestHandler, "timeout", 0.2)
+        monkeypatch.setattr(httpserver._RequestHandler, "timeout", 0.2)
         handle = start_mock()
         try:
             client = SmartHomeClient(handle.base_url, handle.token)
@@ -231,6 +243,44 @@ class TestMockHttpSurface:
         status = requests.get(f"{handle.base_url}/v1.1/devices/bulb-1/status",
                               headers=headers, timeout=5).json()
         assert status["body"]["power"] == "off"
+
+    def test_get_body_is_consumed_on_keep_alive(self, mock_cloud):
+        handle, _ = mock_cloud
+        head = f"Host: x\r\nAuthorization: {handle.token}\r\n"
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
+            first = raw_exchange(sock, f"GET /v1.1/devices HTTP/1.1\r\n{head}"
+                                       "Content-Length: 5\r\n\r\nhello")
+            second = raw_exchange(sock, f"GET /v1.1/devices/bulb-1/status HTTP/1.1\r\n{head}\r\n")
+        assert (first[0], second[0]) == (200, 200)
+        assert json.loads(second[1])["body"]["deviceId"] == "bulb-1"
+
+    def test_negative_content_length_is_answered_at_once(self, mock_cloud):
+        handle, _ = mock_cloud
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
+            status, _ = raw_exchange(sock, "POST /v1.1/devices/bot-1/commands HTTP/1.1\r\n"
+                                        f"Host: x\r\nAuthorization: {handle.token}\r\n"
+                                        "Content-Length: -1\r\n\r\n")
+        assert status == 400
+        assert handle.presses == []
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"command":"setBrightness","parameter":' + b"1" * 5000 + b"}",
+        b'["press"]',
+        b'"press"',
+    ], ids=["deep-nesting", "huge-int", "array", "string"])
+    def test_hostile_command_body_is_400(self, mock_cloud, body):
+        handle, client = mock_cloud
+        reply = requests.post(f"{handle.base_url}/v1.1/devices/bulb-1/commands", data=body,
+                              headers={"Authorization": handle.token}, timeout=5)
+        assert reply.status_code == 400
+        assert reply.json()["message"] == "malformed command body"
+        assert client.get_status("bulb-1").state == {"power": "off", "brightness": 100}
+
+    def test_port_in_use_is_startup_error(self, mock_cloud):
+        handle, _ = mock_cloud
+        with pytest.raises(GatewayStartupError):
+            start_mock(port=handle.port)
 
     def test_http_state_matches_oracle_replay(self, mock_cloud):
         # Drive a random command sequence over HTTP, replay the same sequence
