@@ -90,13 +90,19 @@ def _token_registry(seed: Optional[int]) -> TokenRegistry:
     return TokenRegistry(rng=random.Random(seed) if seed is not None else None)
 
 
-def _serve_until_interrupted() -> None:
-    """Block until SIGINT/SIGTERM; both exit the serve loop cleanly."""
+def _serve_until_interrupted(ready_line: str) -> None:
+    """Print ``ready_line``, then block until SIGINT/SIGTERM; both exit cleanly.
+
+    The SIGTERM handler goes in before the line is printed, and the print sits
+    inside the ``try``, so a signal sent as soon as the line is read still ends
+    the loop cleanly instead of killing the process or escaping the cleanup.
+    """
     def _interrupt(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _interrupt)
     try:
+        print(ready_line, flush=True)
         while True:
             time.sleep(0.2)
     except KeyboardInterrupt:
@@ -154,7 +160,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except TunnelError:
         handle.shutdown()
         raise
-    print(endpoint.public_url, flush=True)
 
     def print_record(record: RequestRecord) -> None:
         sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
@@ -162,7 +167,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     handle.request_log.add_listener(print_record)
     try:
-        _serve_until_interrupted()
+        _serve_until_interrupted(endpoint.public_url)
     finally:
         close_tunnel(endpoint, registry=tokens)
         handle.shutdown()
@@ -180,9 +185,8 @@ def cmd_mock_smarthome(args: argparse.Namespace) -> int:
     else:
         fixture = default_workshop_fixture(args.smarthome_token)
     handle = start_mock(fixture, args.port)
-    print(handle.base_url, flush=True)
     try:
-        _serve_until_interrupted()
+        _serve_until_interrupted(handle.base_url)
     finally:
         handle.shutdown()
         sys.stdout.flush()
