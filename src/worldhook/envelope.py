@@ -163,9 +163,10 @@ def decode_envelope(raw: bytes) -> Union[TriggerEnvelope, GatewayError]:
     ``request`` must be present and a string. Missing metadata defaults
     (``requestId`` is generated, strings default to "", ``timestampMs`` to 0);
     metadata present with a wrong type, or a negative timestamp, is rejected so
-    that a successful decode always satisfies the envelope invariants. Unknown
-    extra fields are ignored. Total: returns a GatewayError rather than
-    raising, whatever the input bytes.
+    that a successful decode always satisfies the envelope invariants. Other
+    metadata is kept as sent, an empty ``requestId`` included, so decoding
+    inverts :func:`encode_envelope`. Unknown extra fields are ignored. Total:
+    returns a GatewayError rather than raising, whatever the input bytes.
     """
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -192,7 +193,7 @@ def decode_envelope(raw: bytes) -> Union[TriggerEnvelope, GatewayError]:
         elif not isinstance(value, str):
             return GatewayError(ErrorCode.MALFORMED_ENVELOPE, f"'{wire}' must be a string")
         fields[attr] = value
-    if not fields.get("request_id"):
+    if "request_id" not in fields:
         fields["request_id"] = new_request_id()
     return TriggerEnvelope(**fields)
 

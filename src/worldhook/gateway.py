@@ -17,6 +17,13 @@ and its handler. A request still queued at the deadline is withdrawn with a
 500; a handler still running gets a 500 while it finishes in the background,
 still holding its key so mutual exclusion per device is never violated.
 
+Request log: records are numbered (``arrival_order``) and counted (``len``)
+over the process's lifetime, but only the last ``request_log_history`` of
+them are kept (default 10 000; 0 keeps none), so memory stays bounded however
+long the gateway runs. ``worldhook serve`` keeps none: its listener hands each
+record to one writer thread, which prints it to stdout, so no device worker
+waits on that write.
+
 Transport: the gateway is an app on :class:`worldhook.httpserver.Server`, the
 threaded HTTP/1.1 keep-alive server that the mock smart-home cloud runs on too.
 """
@@ -58,6 +65,7 @@ class GatewayConfig:
     route_prefix: str = DEFAULT_ROUTE_PREFIX
     per_device_queue_depth: int = 128
     handler_timeout_ms: int = 10_000  # deadline from submission: queue wait plus handler
+    request_log_history: int = 10_000  # records the request log retains; 0 keeps none
 
     def validate(self) -> None:
         if not 0 <= self.bind_port <= 65535:
@@ -66,6 +74,8 @@ class GatewayConfig:
             raise ValueError("per_device_queue_depth must be >= 1")
         if self.handler_timeout_ms <= 0:
             raise ValueError("handler_timeout_ms must be > 0")
+        if self.request_log_history < 0:
+            raise ValueError("request_log_history must be >= 0")
         if not self.route_prefix.startswith("/") or self.route_prefix.rstrip("/") == "":
             raise ValueError(f"route_prefix {self.route_prefix!r} must look like '/name'")
 
@@ -122,15 +132,19 @@ class RequestRecord:
 
 
 class RequestLog:
-    """Append-only, totally ordered record of every completed request.
+    """Totally ordered record of completed requests, with a bounded history.
 
-    Listeners are called in log order while the log's lock is held, so they
-    must not call back into the log.
+    Every appended record gets the next ``arrival_order``, and ``len`` counts
+    every record ever appended. Only the last ``history`` records are kept for
+    :meth:`records`; with ``history=0`` none are, and listeners are the only
+    consumers. Listeners are called in log order while the log's lock is
+    held, so they must be quick and must not call back into the log.
     """
 
-    def __init__(self):
+    def __init__(self, history: int):
         self._lock = threading.Lock()
-        self._records: list[RequestRecord] = []
+        self._count = 0
+        self._recent: deque[RequestRecord] = deque(maxlen=history)
         self._listeners: list[Callable[[RequestRecord], None]] = []
 
     def append(self, *, request_id: str, envelope: Optional[TriggerEnvelope],
@@ -139,14 +153,15 @@ class RequestLog:
         with self._lock:
             record = RequestRecord(
                 request_id=request_id,
-                arrival_order=len(self._records),
+                arrival_order=self._count,
                 envelope=envelope,
                 response_status=response_status,
                 latency_ms=latency_ms,
                 route=route,
                 dispatched=dispatched,
             )
-            self._records.append(record)
+            self._count += 1
+            self._recent.append(record)
             for listener in self._listeners:
                 listener(record)
         return record
@@ -156,12 +171,13 @@ class RequestLog:
             self._listeners.append(fn)
 
     def records(self) -> list[RequestRecord]:
+        """The retained records, oldest first: the last ``history`` appended."""
         with self._lock:
-            return list(self._records)
+            return list(self._recent)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._count
 
 
 class RequestDispatcher:
@@ -173,7 +189,7 @@ class RequestDispatcher:
         self.config = config
         self.registration = registration
         self.token_registry = token_registry or tunnel.default_registry()
-        self.request_log = RequestLog()
+        self.request_log = RequestLog(config.request_log_history)
         self._pending: dict[Any, deque] = {}  # busy key -> jobs behind its worker's
         self._pending_lock = threading.Lock()
         self._inflight = 0

@@ -3,7 +3,9 @@
 The gateway and the mock smart-home cloud both run on it. An app is
 ``app(method, path, headers, body) -> (status, body_bytes)``; the server reads
 the request body, calls the app on the connection's thread, and writes the
-reply as JSON. GET and POST reach the app; other methods get the stdlib's 501.
+reply as JSON. GET, POST, PUT, DELETE, PATCH and OPTIONS reach the app, which
+answers the ones it does not serve itself. HEAD gets the stdlib's 501, because
+a HEAD reply must carry no body.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; the app has already handled the request
 
-    do_GET = do_POST = _serve
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_OPTIONS = _serve
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # apps keep their own request logs

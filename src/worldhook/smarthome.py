@@ -6,7 +6,8 @@ The mock server speaks a v1.1-style REST shape over bearer-token auth::
     POST /v1.1/devices/{id}/commands      {"command", "parameter", "commandType"}
     GET  /v1.1/devices/{id}/status
 
-with every response wrapped as ``{"statusCode", "message", "body"}``. It runs
+with every response wrapped as ``{"statusCode", "message", "body"}``; any other
+method or path gets a 404 "no such endpoint". It runs
 on :class:`worldhook.httpserver.Server`, as the gateway does. The
 client is a thin typed wrapper over those endpoints, and ``dispatch`` executes
 command payloads of the form ``{"function_name", "args", "kwargs"}`` against
@@ -233,6 +234,8 @@ def _mock_app(state: _MockState) -> App:
     def app(method: str, path: str, headers: Mapping[str, str], body: bytes) -> tuple[int, bytes]:
         if headers.get("Authorization") != state.token:
             return _reply(401, "unauthorized", {})
+        if method not in ("GET", "POST"):  # a PUT must never act as a command
+            return _reply(404, "no such endpoint", {})
         if method == "GET":
             if _DEVICES_PATH.match(path):
                 with state.lock:

@@ -1,4 +1,6 @@
+import http.client
 import json
+import socket
 
 import pytest
 import requests
@@ -21,6 +23,17 @@ def post_trigger(url: str, request: str, timeout: float = 10.0, **meta) -> reque
     """POST a trigger envelope built from camelCase keyword fields."""
     body = {"request": request, **meta}
     return requests.post(url, data=json.dumps(body).encode("utf-8"), timeout=timeout)
+
+
+def raw_exchange(sock: socket.socket, request: str, method: str = "") -> tuple[int, bytes]:
+    """Send one hand-framed request on ``sock``; return its reply's status and body.
+
+    Pass ``method="HEAD"`` for a HEAD request, whose reply has no body to read.
+    """
+    sock.sendall(request.encode("utf-8"))
+    reply = http.client.HTTPResponse(sock, method=method or None)
+    reply.begin()
+    return reply.status, reply.read()
 
 
 class GatewayEnv:

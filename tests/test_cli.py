@@ -106,6 +106,33 @@ class TestServe:
         assert [doc["arrivalOrder"] for doc in docs] == list(range(16))
         assert all(doc["status"] == 200 and doc["request"] == "hello" for doc in docs)
 
+    def test_text_request_log_lines_after_burst_and_sigint(self):
+        proc = start_cli("serve", "--port", "0", "--log-format", "text")
+        try:
+            url = read_line(proc)
+
+            def burst():
+                with requests.Session() as session:
+                    for _ in range(8):
+                        session.post(url + "/fan", data=b'{"request":"on","userId":"u1"}',
+                                     timeout=5)
+
+            posters = [threading.Thread(target=burst) for _ in range(8)]
+            for t in posters:
+                t.start()
+            for t in posters:
+                t.join(10)
+            assert not any(t.is_alive() for t in posters)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 64
+        pattern = re.compile(r"^#(\d+) 200 route=fan user=u1 \d+\.\dms$")
+        assert all(pattern.match(line) for line in lines), lines
+        assert [int(pattern.match(line).group(1)) for line in lines] == list(range(64))
+
 
 class TestMockSmarthome:
     def test_serves_roster_until_interrupted(self):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from worldhook.devices import DeviceRegistry
 from worldhook.envelope import (
     ErrorCode,
     GatewayError,
@@ -18,6 +19,8 @@ from worldhook.envelope import (
     serialize_error,
     serialize_response,
 )
+from worldhook.gateway import GatewayConfig, HandlerRegistration, RequestDispatcher
+from worldhook.tunnel import TokenRegistry
 
 # Character pool for payload fuzzing: quotes, backslashes, control characters,
 # and a spread of non-ASCII codepoints.
@@ -84,6 +87,11 @@ class TestDecodeEnvelope:
     def test_generated_request_ids_are_unique(self):
         ids = {decode_envelope(b'{"request":"x"}').request_id for _ in range(200)}
         assert len(ids) == 200
+
+    def test_empty_request_id_is_kept(self):
+        env = decode_envelope(b'{"request":"on","requestId":""}')
+        assert isinstance(env, TriggerEnvelope)
+        assert env.request_id == ""
 
     def test_not_json(self):
         err = decode_envelope(b"not json")
@@ -200,6 +208,32 @@ class TestTotality:
     def test_deep_nesting(self, depth, opener):
         self.check(nested(depth, opener))
         self.check('{"request":"x","args":' + nested(depth, opener) + "}")
+
+
+ENVELOPES = st.builds(
+    TriggerEnvelope, request=st.text(), request_id=st.text(), world_id=st.text(),
+    item_id=st.text(), user_id=st.text(), timestamp_ms=st.integers(min_value=0))
+
+# Path tails that route through an active token: the default route and a device route.
+ROUTABLE_TAILS = ["", "/", "/trigger", "/trigger/", "/trigger/fan", "/fan", "/fan/", "/?q=1"]
+
+
+class TestProperties:
+    @given(ENVELOPES)
+    def test_decode_inverts_encode(self, env):
+        assert decode_envelope(encode_envelope(env)) == env
+
+    @given(st.integers(), st.sampled_from(ROUTABLE_TAILS), st.text())
+    def test_revoked_token_routes_nothing(self, seed, tail, junk):
+        tokens = TokenRegistry(rng=random.Random(seed))
+        revoked, active = tokens.issue(), tokens.issue()
+        tokens.revoke(revoked)
+        registration = (HandlerRegistration().register_default(lambda p: p)
+                        .register_devices(DeviceRegistry.default()))
+        dispatcher = RequestDispatcher(GatewayConfig(), registration, tokens)
+        assert dispatcher.resolve_route(f"/{active}{tail}") is not None
+        for path in (f"/{revoked}{tail}", f"/{revoked}{junk}", f"/{revoked}/{active}{tail}"):
+            assert dispatcher.resolve_route(path) is None, path
 
 
 class TestSerializeResponse:

@@ -1,7 +1,10 @@
+import gc
 import json
+import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 import requests
@@ -15,10 +18,11 @@ from worldhook.gateway import (
     HandlerRegistration,
     RegistrationError,
     RequestDispatcher,
+    RequestLog,
     run,
 )
 from worldhook.smarthome import make_gateway_handler
-from conftest import post_trigger
+from conftest import post_trigger, raw_exchange
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -161,6 +165,103 @@ class TestRunAndShutdown:
         assert result["reply"].status_code == 200
         records = handle.request_log.records()
         assert len(records) == 1 and records[0].envelope.request == "inflight"
+
+
+class TestOtherMethods:
+    @pytest.fixture
+    def handle(self):
+        handle = run(GatewayConfig(), HandlerRegistration().register_default(lambda p: p))
+        yield handle
+        handle.shutdown()
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+    def test_method_is_json_400_logged_and_keeps_the_connection(self, handle, method):
+        body = '{"request":"x"}'
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
+            status, reply = raw_exchange(sock, f"{method} /trigger HTTP/1.1\r\nHost: x\r\n"
+                                               f"Content-Length: {len(body)}\r\n\r\n{body}")
+            assert status == 400
+            assert json.loads(reply)["error"] == {"code": "MalformedEnvelope",
+                                                  "message": "only POST is supported",
+                                                  "request_id": ""}
+            assert raw_exchange(sock, "POST /trigger HTTP/1.1\r\nHost: x\r\n"
+                                      f"Content-Length: {len(body)}\r\n\r\n{body}")[0] == 200
+        records = handle.request_log.records()
+        assert [(r.response_status, r.dispatched) for r in records] == [(400, False), (200, True)]
+
+    def test_head_stays_501_without_a_body(self, handle):
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
+            status, reply = raw_exchange(sock, "HEAD /trigger HTTP/1.1\r\nHost: x\r\n\r\n",
+                                         method="HEAD")
+        assert (status, reply) == (501, b"")
+        assert len(handle.request_log) == 0
+
+
+class TestRequestLog:
+    @staticmethod
+    def append(log: RequestLog, n: int) -> None:
+        for i in range(n):
+            log.append(request_id=f"r{i}", envelope=None, response_status=200,
+                       latency_ms=0.0, route="", dispatched=True)
+
+    def test_history_keeps_the_last_records_in_order(self):
+        log = RequestLog(history=3)
+        self.append(log, 10)
+        assert len(log) == 10
+        assert [(r.arrival_order, r.request_id) for r in log.records()] == [
+            (7, "r7"), (8, "r8"), (9, "r9")]
+
+    def test_zero_history_keeps_nothing_but_listeners_see_every_record(self):
+        log = RequestLog(history=0)
+        seen = []
+        log.add_listener(lambda record: seen.append(record.arrival_order))
+        appenders = [threading.Thread(target=self.append, args=(log, 50)) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in appenders:
+                t.start()
+            for t in appenders:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in appenders)
+        assert len(log) == 200
+        assert log.records() == []
+        assert seen == list(range(200))
+
+    def test_dispatcher_log_follows_the_config(self):
+        assert GatewayConfig().request_log_history == 10_000
+        dispatcher = RequestDispatcher(GatewayConfig(request_log_history=2),
+                                       HandlerRegistration().register_default(lambda p: p))
+        for i in range(5):
+            dispatcher.handle_request(envelope_bytes(f"m{i}"), "/trigger")
+        assert len(dispatcher.request_log) == 5
+        assert [r.envelope.request for r in dispatcher.request_log.records()] == ["m3", "m4"]
+
+    def test_no_history_retains_no_memory_per_request(self):
+        registration = HandlerRegistration().register_route("fan", lambda p: "Running")
+        dispatcher = RequestDispatcher(GatewayConfig(request_log_history=0), registration)
+        body = envelope_bytes("on", itemId="fan", userId="u1")
+
+        def traced_bytes_after(n: int) -> int:
+            for _ in range(n):
+                assert dispatcher.handle_request(body, "/trigger/fan")[0] == 200
+            assert wait_until(lambda: not dispatcher._pending)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            baseline = traced_bytes_after(200)  # warm-up: caches, lazy imports
+            after_1000 = traced_bytes_after(1000)
+            after_5000 = traced_bytes_after(4000)
+        finally:
+            tracemalloc.stop()
+        # A retained record with its envelope is ~670 B: 5000 of them would be ~3.3 MB.
+        assert after_1000 - baseline < 32_000
+        assert after_5000 - baseline < 32_000
+        assert len(dispatcher.request_log) == 5200
 
 
 class TestDispatchLifecycle:
@@ -457,6 +558,7 @@ class TestConfigValidation:
         {"per_device_queue_depth": 0},
         {"handler_timeout_ms": 0},
         {"route_prefix": "nope"},
+        {"request_log_history": -1},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import http.client
 import json
 import random
 import socket
@@ -30,14 +29,7 @@ from worldhook.smarthome import (
     result_to_canonical_json,
     start_mock,
 )
-
-
-def raw_exchange(sock: socket.socket, request: str) -> tuple[int, bytes]:
-    """Send one hand-framed request on ``sock``; return its reply's status and body."""
-    sock.sendall(request.encode("utf-8"))
-    reply = http.client.HTTPResponse(sock)
-    reply.begin()
-    return reply.status, reply.read()
+from conftest import raw_exchange
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +253,19 @@ class TestMockHttpSurface:
                                         f"Host: x\r\nAuthorization: {handle.token}\r\n"
                                         "Content-Length: -1\r\n\r\n")
         assert status == 400
+        assert handle.presses == []
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+    def test_other_methods_are_404_and_act_on_nothing(self, mock_cloud, method):
+        handle, _ = mock_cloud
+        body = '{"command":"press","parameter":"default","commandType":"command"}'
+        request = (f"{method} /v1.1/devices/bot-1/commands HTTP/1.1\r\n"
+                   f"Host: x\r\nAuthorization: {handle.token}\r\n"
+                   f"Content-Length: {len(body)}\r\n\r\n{body}")
+        with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
+            status, reply = raw_exchange(sock, request)
+        assert status == 404
+        assert json.loads(reply)["message"] == "no such endpoint"
         assert handle.presses == []
 
     @pytest.mark.parametrize("body", [
