@@ -21,11 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import random
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 from typing import Optional
@@ -57,8 +55,6 @@ DEMO_NAMES = ("fan", "doorbell", "presence-lamp", "piano", "smarthome")
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-LOG_DRAIN_TIMEOUT_S = 5.0  # how long serve's shutdown waits for the log writer
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -157,36 +153,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registration.register_default(lambda payload: payload)  # echo
 
     tokens = _token_registry(args.seed)
-    # stdout is this process's request log; nothing here reads records(), so keep none.
-    config = GatewayConfig(bind_port=args.port, route_prefix=args.route_prefix,
-                           request_log_history=0)
-    handle = run(config, registration, tokens)
+    handle = run(GatewayConfig(bind_port=args.port, route_prefix=args.route_prefix),
+                 registration, tokens)
     try:
         endpoint = open_tunnel(_tunnel_mode(args.tunnel_mode), handle.port, registry=tokens)
     except TunnelError:
         handle.shutdown()
         raise
 
-    # The listener runs under the log's lock, so the queue holds records in
-    # arrival order; one writer prints them, and no device worker waits on stdout.
-    pending: queue.SimpleQueue[Optional[RequestRecord]] = queue.SimpleQueue()
+    def print_record(record: RequestRecord) -> None:
+        sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
+        sys.stdout.flush()
 
-    def write_records() -> None:
-        while (record := pending.get()) is not None:
-            sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
-            if pending.empty():
-                sys.stdout.flush()
-
-    writer = threading.Thread(target=write_records, daemon=True, name="worldhook-log")
-    writer.start()
-    handle.request_log.add_listener(pending.put)
+    handle.request_log.add_listener(print_record)
     try:
         _serve_until_interrupted(endpoint.public_url)
     finally:
         close_tunnel(endpoint, registry=tokens)
         handle.shutdown()
-        pending.put(None)
-        writer.join(LOG_DRAIN_TIMEOUT_S)
         if args.event_log:
             registry.write_event_logs(args.event_log)
         sys.stdout.flush()

@@ -90,7 +90,7 @@ class TriggerEnvelope:
 
 @dataclass(frozen=True)
 class GatewayError:
-    """Structured failure value; ``request_id`` may be "" when unknown."""
+    """Structured failure value; ``request_id`` is "" when unknown or sent empty."""
 
     code: ErrorCode
     message: str

@@ -18,11 +18,10 @@ and its handler. A request still queued at the deadline is withdrawn with a
 still holding its key so mutual exclusion per device is never violated.
 
 Request log: records are numbered (``arrival_order``) and counted (``len``)
-over the process's lifetime, but only the last ``request_log_history`` of
-them are kept (default 10 000; 0 keeps none), so memory stays bounded however
-long the gateway runs. ``worldhook serve`` keeps none: its listener hands each
-record to one writer thread, which prints it to stdout, so no device worker
-waits on that write.
+over the process's lifetime, but the log keeps none of them: each record goes
+to the log's listeners, in arrival order, and is dropped, so memory stays
+bounded however long the gateway runs. ``worldhook serve`` prints each record
+to stdout from its listener.
 
 Transport: the gateway is an app on :class:`worldhook.httpserver.Server`, the
 threaded HTTP/1.1 keep-alive server that the mock smart-home cloud runs on too.
@@ -65,7 +64,6 @@ class GatewayConfig:
     route_prefix: str = DEFAULT_ROUTE_PREFIX
     per_device_queue_depth: int = 128
     handler_timeout_ms: int = 10_000  # deadline from submission: queue wait plus handler
-    request_log_history: int = 10_000  # records the request log retains; 0 keeps none
 
     def validate(self) -> None:
         if not 0 <= self.bind_port <= 65535:
@@ -74,8 +72,6 @@ class GatewayConfig:
             raise ValueError("per_device_queue_depth must be >= 1")
         if self.handler_timeout_ms <= 0:
             raise ValueError("handler_timeout_ms must be > 0")
-        if self.request_log_history < 0:
-            raise ValueError("request_log_history must be >= 0")
         if not self.route_prefix.startswith("/") or self.route_prefix.rstrip("/") == "":
             raise ValueError(f"route_prefix {self.route_prefix!r} must look like '/name'")
 
@@ -132,19 +128,17 @@ class RequestRecord:
 
 
 class RequestLog:
-    """Totally ordered record of completed requests, with a bounded history.
+    """Totally ordered stream of completed requests, handed to listeners.
 
     Every appended record gets the next ``arrival_order``, and ``len`` counts
-    every record ever appended. Only the last ``history`` records are kept for
-    :meth:`records`; with ``history=0`` none are, and listeners are the only
-    consumers. Listeners are called in log order while the log's lock is
-    held, so they must be quick and must not call back into the log.
+    every record ever appended; the log itself keeps no records. Listeners are
+    called in log order while the log's lock is held, so they must not call
+    back into the log.
     """
 
-    def __init__(self, history: int):
+    def __init__(self):
         self._lock = threading.Lock()
         self._count = 0
-        self._recent: deque[RequestRecord] = deque(maxlen=history)
         self._listeners: list[Callable[[RequestRecord], None]] = []
 
     def append(self, *, request_id: str, envelope: Optional[TriggerEnvelope],
@@ -161,7 +155,6 @@ class RequestLog:
                 dispatched=dispatched,
             )
             self._count += 1
-            self._recent.append(record)
             for listener in self._listeners:
                 listener(record)
         return record
@@ -169,11 +162,6 @@ class RequestLog:
     def add_listener(self, fn: Callable[[RequestRecord], None]) -> None:
         with self._lock:
             self._listeners.append(fn)
-
-    def records(self) -> list[RequestRecord]:
-        """The retained records, oldest first: the last ``history`` appended."""
-        with self._lock:
-            return list(self._recent)
 
     def __len__(self) -> int:
         with self._lock:
@@ -189,7 +177,7 @@ class RequestDispatcher:
         self.config = config
         self.registration = registration
         self.token_registry = token_registry or tunnel.default_registry()
-        self.request_log = RequestLog(config.request_log_history)
+        self.request_log = RequestLog()
         self._pending: dict[Any, deque] = {}  # busy key -> jobs behind its worker's
         self._pending_lock = threading.Lock()
         self._inflight = 0

@@ -36,14 +36,22 @@ def raw_exchange(sock: socket.socket, request: str, method: str = "") -> tuple[i
     return reply.status, reply.read()
 
 
+def recorded(source) -> list:
+    """Collect the request records ``source`` (a gateway handle or dispatcher) logs from now on."""
+    records = []
+    source.request_log.add_listener(records.append)
+    return records
+
+
 class GatewayEnv:
-    """A running gateway wired to a fresh default device bench."""
+    """A running gateway wired to a fresh default device bench; ``records`` collects its log."""
 
     def __init__(self, config=None):
         self.registry = DeviceRegistry.default()
         self.registration = HandlerRegistration().register_devices(self.registry)
         self.tokens = TokenRegistry()
         self.handle = run(config or GatewayConfig(), self.registration, self.tokens)
+        self.records = recorded(self.handle)
         self.endpoint = open_tunnel(TunnelMode.LOOPBACK, self.handle.port,
                                     registry=self.tokens)
 

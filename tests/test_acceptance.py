@@ -58,7 +58,7 @@ def test_criterion_01_fan_end_to_end():
         run_scenario(scenario, env.public_url)
         elapsed = time.monotonic() - started
         fan = env.device("fan")
-        records = env.handle.request_log.records()
+        records = env.records
         arrived = [r.envelope.request for r in records]
         # oracle: apply commands in arrival order (last-command rule)
         expected = FanState.RUNNING if arrived and arrived[-1] == "on" else FanState.STOPPED
@@ -84,7 +84,7 @@ def test_criterion_02_offline_owner_doorbell():
         report = run_scenario(scenario, env.public_url)
         elapsed = time.monotonic() - started
         owner_declared = any(is_owner for _, is_owner in scenario.users)
-        user_ids = {r.envelope.user_id for r in env.handle.request_log.records()}
+        user_ids = {r.envelope.user_id for r in env.records}
         check(2, "offline-owner doorbell", [
             ("scenario declares an owner who never joins",
              owner_declared and "owner" not in user_ids),
@@ -271,7 +271,7 @@ def test_criterion_09_concurrent_serialization():
 
         fan = env.device("fan")
         events = fan.event_log
-        log_records = env.handle.request_log.records()
+        log_records = env.records
         arrived = [r.envelope.request for r in log_records]
         # oracle: sequential application of the arrival order
         expected = FanState.RUNNING if arrived and arrived[-1] == "on" else FanState.STOPPED

@@ -22,7 +22,7 @@ from worldhook.gateway import (
     run,
 )
 from worldhook.smarthome import make_gateway_handler
-from conftest import post_trigger, raw_exchange
+from conftest import post_trigger, raw_exchange, recorded
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -152,6 +152,7 @@ class TestRunAndShutdown:
 
         handle = run(GatewayConfig(handler_timeout_ms=2000),
                      HandlerRegistration().register_default(slow))
+        records = recorded(handle)
         result = {}
 
         def fire():
@@ -163,7 +164,6 @@ class TestRunAndShutdown:
         handle.shutdown()
         poster.join(timeout=5)
         assert result["reply"].status_code == 200
-        records = handle.request_log.records()
         assert len(records) == 1 and records[0].envelope.request == "inflight"
 
 
@@ -176,6 +176,7 @@ class TestOtherMethods:
 
     @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
     def test_method_is_json_400_logged_and_keeps_the_connection(self, handle, method):
+        records = recorded(handle)
         body = '{"request":"x"}'
         with socket.create_connection(("127.0.0.1", handle.port), timeout=1.0) as sock:
             status, reply = raw_exchange(sock, f"{method} /trigger HTTP/1.1\r\nHost: x\r\n"
@@ -186,7 +187,6 @@ class TestOtherMethods:
                                                   "request_id": ""}
             assert raw_exchange(sock, "POST /trigger HTTP/1.1\r\nHost: x\r\n"
                                       f"Content-Length: {len(body)}\r\n\r\n{body}")[0] == 200
-        records = handle.request_log.records()
         assert [(r.response_status, r.dispatched) for r in records] == [(400, False), (200, True)]
 
     def test_head_stays_501_without_a_body(self, handle):
@@ -204,15 +204,8 @@ class TestRequestLog:
             log.append(request_id=f"r{i}", envelope=None, response_status=200,
                        latency_ms=0.0, route="", dispatched=True)
 
-    def test_history_keeps_the_last_records_in_order(self):
-        log = RequestLog(history=3)
-        self.append(log, 10)
-        assert len(log) == 10
-        assert [(r.arrival_order, r.request_id) for r in log.records()] == [
-            (7, "r7"), (8, "r8"), (9, "r9")]
-
-    def test_zero_history_keeps_nothing_but_listeners_see_every_record(self):
-        log = RequestLog(history=0)
+    def test_listeners_see_every_arrival_order_and_len_counts_them(self):
+        log = RequestLog()
         seen = []
         log.add_listener(lambda record: seen.append(record.arrival_order))
         appenders = [threading.Thread(target=self.append, args=(log, 50)) for _ in range(4)]
@@ -227,21 +220,11 @@ class TestRequestLog:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in appenders)
         assert len(log) == 200
-        assert log.records() == []
         assert seen == list(range(200))
 
-    def test_dispatcher_log_follows_the_config(self):
-        assert GatewayConfig().request_log_history == 10_000
-        dispatcher = RequestDispatcher(GatewayConfig(request_log_history=2),
-                                       HandlerRegistration().register_default(lambda p: p))
-        for i in range(5):
-            dispatcher.handle_request(envelope_bytes(f"m{i}"), "/trigger")
-        assert len(dispatcher.request_log) == 5
-        assert [r.envelope.request for r in dispatcher.request_log.records()] == ["m3", "m4"]
-
-    def test_no_history_retains_no_memory_per_request(self):
+    def test_log_retains_no_memory_per_request(self):
         registration = HandlerRegistration().register_route("fan", lambda p: "Running")
-        dispatcher = RequestDispatcher(GatewayConfig(request_log_history=0), registration)
+        dispatcher = RequestDispatcher(GatewayConfig(), registration)
         body = envelope_bytes("on", itemId="fan", userId="u1")
 
         def traced_bytes_after(n: int) -> int:
@@ -276,13 +259,13 @@ class TestDispatchLifecycle:
         assert json.loads(body) == {"response": "ping"}
 
     def test_garbage_then_valid(self, dispatcher):
+        records = recorded(dispatcher)
         status, body = dispatcher.handle_request(b"garbage", "/trigger")
         assert status == 400
         assert json.loads(body)["error"]["code"] == "MalformedEnvelope"
         status, _ = dispatcher.handle_request(envelope_bytes("ok"), "/trigger")
         assert status == 200
-        orders = [r.arrival_order for r in dispatcher.request_log.records()]
-        assert orders == [0, 1]
+        assert [r.arrival_order for r in records] == [0, 1]
 
     def test_unknown_route_404(self, dispatcher):
         status, body = dispatcher.handle_request(envelope_bytes("x"), "/nope")
@@ -290,10 +273,11 @@ class TestDispatchLifecycle:
         assert json.loads(body)["error"]["code"] == "UnknownFunction"
 
     def test_get_is_rejected_but_logged(self, dispatcher):
+        records = recorded(dispatcher)
         status, body = dispatcher.handle_request(b"", "/trigger", method="GET")
         assert status == 400
         assert len(dispatcher.request_log) == 1
-        assert not dispatcher.request_log.records()[0].dispatched
+        assert not records[0].dispatched
 
     def test_handler_exception_becomes_500(self):
         def boom(payload):
@@ -365,6 +349,7 @@ class TestDispatchLifecycle:
         dispatcher = RequestDispatcher(
             GatewayConfig(handler_timeout_ms=100),
             HandlerRegistration().register_default(sleepy))
+        records = recorded(dispatcher)
         start = time.monotonic()
         status, body = dispatcher.handle_request(envelope_bytes("x"), "/trigger")
         elapsed = time.monotonic() - start
@@ -373,7 +358,6 @@ class TestDispatchLifecycle:
         assert elapsed < 0.9  # did not wait for the handler
         # the handler's late reply is dropped: one record per request
         assert wait_until(lambda: not dispatcher._pending)
-        records = dispatcher.request_log.records()
         assert [(r.response_status, r.dispatched) for r in records] == [(500, True)]
 
     def test_deadline_passing_in_queue_withdraws_the_request(self):
@@ -388,6 +372,7 @@ class TestDispatchLifecycle:
         dispatcher = RequestDispatcher(
             GatewayConfig(handler_timeout_ms=200),
             HandlerRegistration().register_route("dev", blocker))
+        records = recorded(dispatcher)
         first = threading.Thread(
             target=dispatcher.handle_request, args=(envelope_bytes("a"), "/trigger/dev"))
         first.start()
@@ -402,7 +387,7 @@ class TestDispatchLifecycle:
         assert "timed out waiting for device" in json.loads(body)["error"]["message"]
         assert wait_until(lambda: not dispatcher._pending)
         assert calls == ["a"]  # the withdrawn request never reached the handler
-        by_request = {r.envelope.request: r for r in dispatcher.request_log.records()}
+        by_request = {r.envelope.request: r for r in records}
         assert (by_request["b"].response_status, by_request["b"].dispatched) == (500, False)
         assert (by_request["a"].response_status, by_request["a"].dispatched) == (500, True)
 
@@ -480,6 +465,7 @@ class TestPerDeviceSerialization:
 
         registration = HandlerRegistration().register_default(handler)
         handle = run(GatewayConfig(), registration)
+        logged = recorded(handle)
         try:
             threads = [
                 threading.Thread(target=post_trigger, args=(handle.trigger_url, f"c{i}"),
@@ -490,7 +476,7 @@ class TestPerDeviceSerialization:
                 t.start()
             for t in threads:
                 t.join(10)
-            records = [r for r in handle.request_log.records() if r.dispatched]
+            records = [r for r in logged if r.dispatched]
             # log order must equal handler execution order for the shared key
             assert [r.envelope.request for r in records] == seen
         finally:
@@ -500,10 +486,11 @@ class TestPerDeviceSerialization:
         fan = Fan("fan")
         registration = HandlerRegistration().register_route("fan", fan.handle)
         handle = run(GatewayConfig(), registration)
+        records = recorded(handle)
         try:
             for payload in ["on", "off", "on"]:
                 post_trigger(handle.trigger_url + "/fan", payload)
-            log_requests = [r.envelope.request for r in handle.request_log.records()]
+            log_requests = [r.envelope.request for r in records]
             assert [e.command for e in fan.event_log] == log_requests
         finally:
             handle.shutdown()
@@ -520,6 +507,7 @@ class TestPerDeviceSerialization:
 
         dispatcher = RequestDispatcher(GatewayConfig(),
                                        HandlerRegistration().register_route("dev", handler))
+        records = recorded(dispatcher)
         threads = [
             threading.Thread(target=dispatcher.handle_request,
                              args=(envelope_bytes(f"c{i}"), "/trigger/dev"))
@@ -535,7 +523,7 @@ class TestPerDeviceSerialization:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        logged = [r.envelope.request for r in dispatcher.request_log.records()]
+        logged = [r.envelope.request for r in records]
         assert len(logged) == 32
         assert logged == seen
 
@@ -558,7 +546,6 @@ class TestConfigValidation:
         {"per_device_queue_depth": 0},
         {"handler_timeout_ms": 0},
         {"route_prefix": "nope"},
-        {"request_log_history": -1},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from worldhook.tunnel import (
     close_tunnel,
     open_tunnel,
 )
+from conftest import recorded
 
 URL_RE = re.compile(r"^http://127\.0\.0\.1:(\d+)/([A-Za-z0-9]{16})$")
 
@@ -104,11 +105,12 @@ class TestGatewayIntegration:
     def test_wrong_token_is_404_and_never_dispatched(self, gateway):
         handle, tokens = gateway
         open_tunnel(TunnelMode.LOOPBACK, handle.port, registry=tokens)
+        records = recorded(handle)
         url = f"{handle.base_url}/{'x' * 16}"
         reply = requests.post(url, data=b'{"request":"hi"}', timeout=5)
         assert reply.status_code == 404
         assert reply.json()["error"]["code"] == "UnknownFunction"
-        assert [r for r in handle.request_log.records() if r.dispatched] == []
+        assert [(r.response_status, r.dispatched) for r in records] == [(404, False)]
 
     def test_closed_token_is_404_even_for_get(self, gateway):
         handle, tokens = gateway

@@ -183,7 +183,7 @@ class TestRunScenario:
         assert report.forwarded_calls == 3
         fan = device_gateway.device("fan")
         # Oracle: replay the gateway's arrival order through the last-command rule.
-        arrived = [r.envelope.request for r in device_gateway.handle.request_log.records()]
+        arrived = [r.envelope.request for r in device_gateway.records]
         expected = FanState.RUNNING if arrived[-1] == "on" else FanState.STOPPED
         assert fan.state is expected
         assert [e.command for e in fan.event_log] == arrived
@@ -193,7 +193,7 @@ class TestRunScenario:
         report = run_scenario(scenario, device_gateway.public_url)
         assert device_gateway.device("doorbell").chime_count == 2
         # the owner never connected; all envelopes carry guest ids
-        user_ids = {r.envelope.user_id for r in device_gateway.handle.request_log.records()}
+        user_ids = {r.envelope.user_id for r in device_gateway.records}
         assert user_ids == {"guest1", "guest2"}
         assert report.final_connected_users == 2
 
@@ -206,7 +206,7 @@ class TestRunScenario:
     def test_client_context_fidelity(self, device_gateway):
         scenario = load_scenario(FIXTURES / "fan_3users.json")
         run_scenario(scenario, device_gateway.public_url)
-        records = device_gateway.handle.request_log.records()
+        records = device_gateway.records
         assert [r.envelope.user_id for r in records] == ["u1", "u2", "u3"]
         assert all(r.envelope.item_id == "fan" for r in records)
 
@@ -296,7 +296,7 @@ class TestRunScenario:
             ),
         )
         run_scenario(parse_scenario(json.dumps(doc)), device_gateway.public_url)
-        arrived = [r.envelope.request for r in device_gateway.handle.request_log.records()]
+        arrived = [r.envelope.request for r in device_gateway.records]
         fan = device_gateway.device("fan")
         assert fan.state is (FanState.RUNNING if arrived[-1] == "on" else FanState.STOPPED)
 
