@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 scenario/check failure, 2 configuration or startup
 error. ``serve`` and ``mock-smarthome`` print their public URL as the first
 stdout line and serve until interrupted.
 
-Flags override environment variables (MG_PORT, MG_TUNNEL_MODE,
-MG_ROUTE_PREFIX, SMARTHOME_BASE_URL, SMARTHOME_TOKEN, MG_SEED), which
-override built-in defaults.
+Each subcommand takes only the flags it reads. Flags override environment
+variables (MG_PORT, MG_ROUTE_PREFIX, SMARTHOME_BASE_URL, SMARTHOME_TOKEN,
+MG_SEED), which override built-in defaults; a subcommand reads only the
+variables of its own flags.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .smarthome import (
     make_gateway_handler,
     start_mock,
 )
-from .tunnel import TokenRegistry, TunnelError, TunnelMode, close_tunnel, open_tunnel
+from .tunnel import TokenRegistry, TunnelMode, close_tunnel, open_tunnel
 from .world import ScenarioParseError, WorldReport, load_scenario, run_scenario
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -57,33 +58,34 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: Optional[int]) -> Optional[int]:
     raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+# The environment fallback of each shared flag, by its argparse dest.
+_ENV_FALLBACKS = {
+    "port": lambda: _env_int("MG_PORT", 0),
+    "route_prefix": lambda: os.environ.get("MG_ROUTE_PREFIX", "/trigger"),
+    "smarthome_base_url": lambda: os.environ.get("SMARTHOME_BASE_URL"),
+    "smarthome_token": lambda: os.environ.get("SMARTHOME_TOKEN", DEFAULT_TOKEN),
+    "seed": lambda: _env_int("MG_SEED", None),
+}
 
 
 def _resolve_common(args: argparse.Namespace) -> None:
-    """Apply flag > environment > default precedence."""
-    if getattr(args, "port", None) is None:
-        args.port = _env_int("MG_PORT", 0)
-    if getattr(args, "tunnel_mode", None) is None:
-        args.tunnel_mode = os.environ.get("MG_TUNNEL_MODE", "loopback")
-    if getattr(args, "route_prefix", None) is None:
-        args.route_prefix = os.environ.get("MG_ROUTE_PREFIX", "/trigger")
-    if getattr(args, "smarthome_base_url", None) is None:
-        args.smarthome_base_url = os.environ.get("SMARTHOME_BASE_URL")
-    if getattr(args, "smarthome_token", None) is None:
-        args.smarthome_token = os.environ.get("SMARTHOME_TOKEN", DEFAULT_TOKEN)
-    if getattr(args, "seed", None) is None:
-        raw = os.environ.get("MG_SEED")
-        args.seed = int(raw) if raw else None
+    """Apply flag > environment > default precedence to the flags ``args`` has.
 
-
-def _tunnel_mode(value: str) -> TunnelMode:
-    try:
-        return {"loopback": TunnelMode.LOOPBACK, "external": TunnelMode.EXTERNAL}[value.lower()]
-    except KeyError:
-        raise TunnelError(f"unknown tunnel mode {value!r}; use loopback or external") from None
+    Raises ValueError when an integer variable that is read does not parse.
+    """
+    for dest, fallback in _ENV_FALLBACKS.items():
+        if dest in vars(args) and vars(args)[dest] is None:
+            setattr(args, dest, fallback())
 
 
 def _token_registry(seed: Optional[int]) -> TokenRegistry:
@@ -155,15 +157,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     tokens = _token_registry(args.seed)
     handle = run(GatewayConfig(bind_port=args.port, route_prefix=args.route_prefix),
                  registration, tokens)
-    try:
-        endpoint = open_tunnel(_tunnel_mode(args.tunnel_mode), handle.port, registry=tokens)
-    except TunnelError:
-        handle.shutdown()
-        raise
+    endpoint = open_tunnel(TunnelMode.LOOPBACK, handle.port, registry=tokens)
+    unwritten = 0  # lines lost to a closed stdout; listeners run under the log's lock
 
     def print_record(record: RequestRecord) -> None:
-        sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
-        sys.stdout.flush()
+        # A closed stdout must not fail the request: count the line, and point
+        # fd 1 at the null device so that no later write or flush raises.
+        nonlocal unwritten
+        if unwritten:
+            unwritten += 1
+            return
+        try:
+            sys.stdout.write(_record_line(record, args.log_format) + "\n")  # one write per line
+            sys.stdout.flush()
+        except OSError:
+            unwritten += 1
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
     handle.request_log.add_listener(print_record)
     try:
@@ -174,6 +185,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.event_log:
             registry.write_event_logs(args.event_log)
         sys.stdout.flush()
+        if unwritten:
+            print(f"stdout closed: {unwritten} request log lines not written", file=sys.stderr)
     return EXIT_OK
 
 
@@ -305,10 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_gateway_flags(p: argparse.ArgumentParser) -> None:
+        """The flags of the subcommands that run a gateway: serve and demo."""
         p.add_argument("--port", type=int, default=None, help="bind port (0 = ephemeral)")
-        p.add_argument("--tunnel-mode", default=None, choices=None,
-                       help="loopback or external")
         p.add_argument("--route-prefix", default=None, help="default trigger route")
         p.add_argument("--smarthome-base-url", default=None)
         p.add_argument("--smarthome-token", default=None)
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-format", default="text", choices=("text", "jsonl"))
 
     p_serve = sub.add_parser("serve", help="run the gateway behind a tunnel")
-    add_common(p_serve)
+    add_gateway_flags(p_serve)
     p_serve.add_argument("--devices", default=None, help="device registry JSON file")
     p_serve.add_argument("--event-log", default=None,
                          help="write device event logs here on shutdown (JSON lines)")
@@ -324,18 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a built-in end-to-end scenario")
     p_demo.add_argument("name", choices=DEMO_NAMES)
-    add_common(p_demo)
+    add_gateway_flags(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
     p_mock = sub.add_parser("mock-smarthome", help="run the mock smart-home cloud")
-    add_common(p_mock)
+    p_mock.add_argument("--port", type=int, default=None, help="bind port (0 = ephemeral)")
+    p_mock.add_argument("--smarthome-token", default=None, help="token of the default fixture")
     p_mock.add_argument("--fixture", default=None, help="fixture JSON file")
     p_mock.set_defaults(func=cmd_mock_smarthome)
 
     p_world = sub.add_parser("world-run", help="replay a scenario file")
-    add_common(p_world)
     p_world.add_argument("--scenario", required=True, help="scenario JSON file")
     p_world.add_argument("--gateway-url", required=True, help="gateway base URL")
+    p_world.add_argument("--log-format", default="text", choices=("text", "jsonl"))
     p_world.set_defaults(func=cmd_world_run)
 
     return parser
@@ -344,13 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve_common(args)
+    try:
+        _resolve_common(args)
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ScenarioParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GatewayStartupError, TunnelError, RegistrationError, ValueError) as exc:
+    except (GatewayStartupError, RegistrationError, ValueError) as exc:
         print(f"startup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, json.JSONDecodeError) as exc:

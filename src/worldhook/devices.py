@@ -54,8 +54,6 @@ class DeviceEvent:
 class BaseDevice:
     """Common identity plus the append-only event log."""
 
-    kind: DeviceKind
-
     def __init__(self, device_key: str):
         self.device_key = device_key
         self._events: list[DeviceEvent] = []
@@ -72,8 +70,6 @@ class BaseDevice:
 
 class VirtualGpioBank(BaseDevice):
     """32 independent pins, all starting Low. Reads have no side effects."""
-
-    kind = DeviceKind.GPIO_BANK
 
     def __init__(self, device_key: str = "gpio", default_pin: int = 17):
         super().__init__(device_key)
@@ -101,8 +97,6 @@ class VirtualGpioBank(BaseDevice):
 class Fan(BaseDevice):
     """Boolean-state fan. Exactly "on" runs it; any other payload stops it."""
 
-    kind = DeviceKind.FAN
-
     def __init__(self, device_key: str = "fan"):
         super().__init__(device_key)
         self.state = FanState.STOPPED
@@ -118,8 +112,6 @@ class Fan(BaseDevice):
 
 class Doorbell(BaseDevice):
     """Counts chimes; every ring increments regardless of payload."""
-
-    kind = DeviceKind.DOORBELL
 
     def __init__(self, device_key: str = "doorbell"):
         super().__init__(device_key)
@@ -141,8 +133,6 @@ def presence_brightness(user_count: int) -> int:
 
 class PresenceLamp(BaseDevice):
     """Brightness 0..100 driven by how many users are present."""
-
-    kind = DeviceKind.LAMP
 
     def __init__(self, device_key: str = "lamp",
                  mapping: Callable[[int], int] = presence_brightness):
@@ -167,8 +157,6 @@ class PresenceLamp(BaseDevice):
 
 class ToneSpeaker(BaseDevice):
     """Equal-temperament tone output over 45 semitones starting at 110 Hz."""
-
-    kind = DeviceKind.TONE_SPEAKER
 
     def __init__(self, device_key: str = "piano"):
         super().__init__(device_key)
@@ -227,12 +215,6 @@ class DeviceRegistry:
 
     def get(self, device_key: str) -> BaseDevice:
         return self._devices[device_key]
-
-    def __contains__(self, device_key: str) -> bool:
-        return device_key in self._devices
-
-    def keys(self) -> list[str]:
-        return list(self._devices)
 
     def handlers(self) -> dict[str, Callable[[str], str]]:
         """Device key to payload handler, ready to register as gateway routes."""

@@ -134,12 +134,6 @@ class SmartHomeRequest:
     args: list = field(default_factory=list)
     kwargs: dict = field(default_factory=dict)
 
-    def to_payload(self) -> str:
-        """Serialize back to the payload string form."""
-        return canonical_json(
-            {"function_name": self.function_name, "args": self.args, "kwargs": self.kwargs}
-        )
-
 
 def canonical_json(value: Any) -> str:
     """Canonical text of a JSON value: sorted keys, no whitespace, raw UTF-8."""
@@ -246,8 +240,3 @@ def serialize_response(resp: HandlerResponse) -> tuple[int, bytes]:
             err = GatewayError(ErrorCode.INTERNAL, str(err))
         doc = err.to_json_dict()
     return status, json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-
-
-def serialize_error(err: GatewayError) -> tuple[int, bytes]:
-    """Wire form of a bare error, using its code's default HTTP status."""
-    return serialize_response(HandlerResponse.from_error(err))

@@ -63,7 +63,7 @@ class Server:
         """Bind ``127.0.0.1:port`` (0 = ephemeral) and serve ``app`` until closed."""
         try:
             self._server = _ThreadingServer(("127.0.0.1", port), _RequestHandler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: port outside 0-65535
             raise GatewayStartupError(f"cannot bind port {port}: {exc}") from exc
         self._server.app = app
         self.port: int = self._server.server_address[1]

@@ -132,17 +132,6 @@ class Fixture:
         ]
         return cls(token=doc.get("token", DEFAULT_TOKEN), devices=devices)
 
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "token": self.token,
-            "devices": [
-                {"deviceId": d.device_id, "deviceType": d.device_type.value,
-                 "name": d.name, "state": d.state}
-                for d in self.devices
-            ],
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", "utf-8")
-
 
 def default_workshop_fixture(token: str = DEFAULT_TOKEN) -> Fixture:
     """The 27-device bench used in the one-day workshop setting."""

@@ -97,7 +97,7 @@ def default_registry() -> TokenRegistry:
 
 
 def open_tunnel(
-    mode: TunnelMode | str,
+    mode: TunnelMode,
     local_port: int,
     *,
     adapter: Optional[ExternalTunnelAdapter] = None,
@@ -108,7 +108,6 @@ def open_tunnel(
     Loopback mode is immediate and fully local. External mode requires an
     adapter; its URL gets the run token appended as the final path segment.
     """
-    mode = TunnelMode(mode) if isinstance(mode, str) else mode
     registry = registry or _default_registry
     token = registry.issue()
     if mode is TunnelMode.LOOPBACK:

@@ -77,7 +77,6 @@ class ItemKind(Enum):
 class SimulatedUser:
     user_id: str
     connected: bool = False
-    is_owner: bool = False
 
 
 @dataclass(frozen=True)
@@ -242,8 +241,8 @@ class World:
 
     # -- construction -------------------------------------------------------
 
-    def add_user(self, user_id: str, is_owner: bool = False) -> SimulatedUser:
-        user = SimulatedUser(user_id, connected=False, is_owner=is_owner)
+    def add_user(self, user_id: str) -> SimulatedUser:
+        user = SimulatedUser(user_id, connected=False)
         self.users[user_id] = user
         return user
 
@@ -487,8 +486,8 @@ def build_world(scenario: Scenario, gateway_url: str, *,
         session=session,
         call_timeout_s=call_timeout_s,
     )
-    for user_id, is_owner in scenario.users:
-        world.add_user(user_id, is_owner)
+    for user_id, _ in scenario.users:
+        world.add_user(user_id)
     base = gateway_url.rstrip("/")
     for spec in scenario.items:
         script = make_template_script(base + spec.target_route, spec.payload_template)

@@ -63,9 +63,6 @@ class TestServe:
         finally:
             blocker.close()
 
-    def test_external_mode_without_adapter_exits_2(self, capsys):
-        assert cli.main(["serve", "--tunnel-mode", "external"]) == 2
-
     def test_sigterm_also_shuts_down_cleanly(self):
         proc = start_cli("serve", "--port", "0")
         try:
@@ -133,6 +130,24 @@ class TestServe:
         assert all(pattern.match(line) for line in lines), lines
         assert [int(pattern.match(line).group(1)) for line in lines] == list(range(64))
 
+    def test_closed_stdout_fails_no_request(self):
+        proc = start_cli("serve", "--port", "0", "--log-format", "jsonl")
+        try:
+            url = read_line(proc)
+            proc.stdout.close()  # the reader of serve's request log goes away
+            with requests.Session() as session:
+                replies = [session.post(url + "/fan", data=b'{"request":"on"}', timeout=5)
+                           for _ in range(5)]
+            assert [r.status_code for r in replies] == [200] * 5
+            assert all(r.json() == {"response": "Running"} for r in replies)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=10)
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.returncode == 0, err
+        assert "5 request log lines not written" in err
+
 
 class TestMockSmarthome:
     def test_serves_roster_until_interrupted(self):
@@ -173,6 +188,10 @@ class TestMockSmarthome:
             assert "startup error" in err
         finally:
             blocker.close()
+
+    def test_out_of_range_port_exits_2(self, capsys):
+        assert cli.main(["mock-smarthome", "--port", "70000"]) == 2
+        assert "startup error" in capsys.readouterr().err
 
 
 class TestWorldRun:
@@ -261,14 +280,46 @@ class TestConfigResolution:
         assert args.route_prefix == "/other"
 
     def test_defaults_without_env(self, monkeypatch):
-        for name in ("MG_PORT", "MG_ROUTE_PREFIX", "MG_TUNNEL_MODE", "MG_SEED"):
+        for name in ("MG_PORT", "MG_ROUTE_PREFIX", "MG_SEED"):
             monkeypatch.delenv(name, raising=False)
         args = cli.build_parser().parse_args(["serve"])
         cli._resolve_common(args)
         assert args.port == 0
         assert args.route_prefix == "/trigger"
-        assert args.tunnel_mode == "loopback"
         assert args.seed is None
+
+    @pytest.mark.parametrize("argv, name", [
+        (["serve"], "MG_PORT"),
+        (["serve"], "MG_SEED"),
+        (["demo", "fan"], "MG_PORT"),
+        (["demo", "fan"], "MG_SEED"),
+        (["mock-smarthome"], "MG_PORT"),
+    ])
+    def test_malformed_integer_env_is_configuration_error(self, argv, name, monkeypatch,
+                                                          capsys):
+        monkeypatch.setenv(name, "abc")
+        assert cli.main(argv) == 2
+        assert f"configuration error: {name}" in capsys.readouterr().err
+
+    def test_world_run_ignores_variables_of_flags_it_lacks(self, monkeypatch):
+        monkeypatch.setenv("MG_PORT", "abc")
+        monkeypatch.setenv("MG_SEED", "x")
+        code = cli.main(["world-run", "--scenario", str(FIXTURES / "fan_3users.json"),
+                         "--gateway-url", "http://127.0.0.1:1"])
+        assert code == 1  # the replay ran; every call failed against the closed port
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--tunnel-mode", "external"],
+        ["demo", "fan", "--tunnel-mode", "loopback"],
+        ["world-run", "--port", "1", "--scenario", "s.json", "--gateway-url", "http://x"],
+        ["world-run", "--seed", "1", "--scenario", "s.json", "--gateway-url", "http://x"],
+        ["mock-smarthome", "--route-prefix", "/x"],
+        ["mock-smarthome", "--log-format", "jsonl"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

