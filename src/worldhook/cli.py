@@ -20,7 +20,6 @@ variables of its own flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import signal
@@ -29,7 +28,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .devices import DeviceRegistry, Doorbell, Fan, PresenceLamp
+from .devices import DeviceRegistry, Doorbell, EventFile, Fan, PresenceLamp
 from .envelope import canonical_json
 from .gateway import (
     GatewayConfig,
@@ -154,6 +153,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         registration.register_default(lambda payload: payload)  # echo
 
+    # serve keeps no device events: they go to the event file, or nowhere.
+    events = EventFile(args.event_log) if args.event_log else None
+    registry.stream_events(events.write if events else lambda device_key, event: None)
+    try:
+        _serve_gateway(args, registration)
+    finally:
+        if events:
+            events.close()
+            if events.lost:
+                print(f"event log: {events.lost} device event lines not written",
+                      file=sys.stderr)
+    return EXIT_OK
+
+
+def _serve_gateway(args: argparse.Namespace, registration: HandlerRegistration) -> None:
+    """Run the gateway behind a loopback tunnel, printing its request log, until interrupted."""
     tokens = _token_registry(args.seed)
     handle = run(GatewayConfig(bind_port=args.port, route_prefix=args.route_prefix),
                  registration, tokens)
@@ -182,12 +197,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         close_tunnel(endpoint, registry=tokens)
         handle.shutdown()
-        if args.event_log:
-            registry.write_event_logs(args.event_log)
         sys.stdout.flush()
         if unwritten:
             print(f"stdout closed: {unwritten} request log lines not written", file=sys.stderr)
-    return EXIT_OK
 
 
 # -- mock smart-home cloud --------------------------------------------------------
@@ -331,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_gateway_flags(p_serve)
     p_serve.add_argument("--devices", default=None, help="device registry JSON file")
     p_serve.add_argument("--event-log", default=None,
-                         help="write device event logs here on shutdown (JSON lines)")
+                         help="write device events here as events are applied, "
+                              "64 lines at a time (JSON lines)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_demo = sub.add_parser("demo", help="run a built-in end-to-end scenario")
@@ -367,10 +380,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ScenarioParseError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GatewayStartupError, RegistrationError, ValueError) as exc:
+    except (GatewayStartupError, RegistrationError) as exc:
         print(f"startup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ValueError includes JSONDecodeError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,14 +1,20 @@
 """Simulated physical endpoints: a virtual GPIO bank and four appliances.
 
-Each device keeps an append-only event log of (command, resulting state,
-order). Mutating operations expect external serialization per device (the
-gateway provides it by device key); reads and log snapshots are safe from any
-thread.
+Each applied command becomes one event (order, command, resulting state),
+handed to the device's event sink the moment it is applied. The default sink
+is the device's own append-only list, read through ``event_log``;
+``DeviceRegistry.stream_events`` points every device at another sink instead,
+such as an ``EventFile``, and then the device keeps nothing. ``order`` counts
+from 0 per device, whatever the sink. Mutating operations expect external
+serialization per device (the gateway provides it by device key); reads and
+log snapshots are safe from any thread.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -52,26 +58,30 @@ class DeviceEvent:
 
 
 class BaseDevice:
-    """Common identity plus the append-only event log."""
+    """Common identity plus the event sink, by default an append-only list."""
 
     def __init__(self, device_key: str):
         self.device_key = device_key
         self._events: list[DeviceEvent] = []
+        self._next_order = 0
+        self.sink: Callable[[DeviceEvent], None] = self._events.append
 
     @property
     def event_log(self) -> list[DeviceEvent]:
+        """The events the default sink has kept; empty once the sink is replaced."""
         return list(self._events)
 
-    def _record(self, command: str, state: Any) -> DeviceEvent:
-        event = DeviceEvent(len(self._events), command, state)
-        self._events.append(event)
-        return event
+    def _record(self, command: str, state: Any) -> None:
+        self.sink(DeviceEvent(self._next_order, command, state))
+        self._next_order += 1
 
 
 class VirtualGpioBank(BaseDevice):
     """32 independent pins, all starting Low. Reads have no side effects."""
 
     def __init__(self, device_key: str = "gpio", default_pin: int = 17):
+        if not 0 <= default_pin < GPIO_PIN_COUNT:
+            raise ValueError(f"default pin {default_pin} out of range 0..{GPIO_PIN_COUNT - 1}")
         super().__init__(device_key)
         self.default_pin = default_pin
         self._pins = [Level.LOW] * GPIO_PIN_COUNT
@@ -189,7 +199,7 @@ _DEVICE_TYPES = {
 
 
 def make_device(device_key: str, kind: DeviceKind | str, params: dict | None = None) -> BaseDevice:
-    kind = DeviceKind(kind) if isinstance(kind, str) else kind
+    kind = DeviceKind(kind)
     params = dict(params or {})
     if kind is DeviceKind.GPIO_BANK:
         return VirtualGpioBank(device_key, default_pin=int(params.get("default_pin", 17)))
@@ -220,13 +230,31 @@ class DeviceRegistry:
         """Device key to payload handler, ready to register as gateway routes."""
         return {key: dev.handle for key, dev in self._devices.items()}
 
+    def stream_events(self, sink: Callable[[str, DeviceEvent], None]) -> None:
+        """Hand each device's later events to ``sink(device_key, event)``, keeping none."""
+        for key, device in self._devices.items():
+            device.sink = functools.partial(sink, key)
+
     @classmethod
     def load(cls, path: str | Path) -> "DeviceRegistry":
+        """Raises ValueError naming the entry and the key when an entry is malformed."""
         doc = json.loads(Path(path).read_text("utf-8"))
-        entries = doc["devices"] if isinstance(doc, dict) else doc
+        entries = doc.get("devices") if isinstance(doc, dict) else doc
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: expected a list of devices")
         registry = cls()
-        for entry in entries:
-            registry.add(make_device(entry["device_key"], entry["kind"], entry.get("params")))
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: device {i} is not an object: {entry!r}")
+            for key in ("device_key", "kind"):
+                if key not in entry:
+                    raise ValueError(f"{path}: device {i} lacks {key!r}")
+            if not isinstance(entry["device_key"], str):
+                raise ValueError(f"{path}: device {i}: 'device_key' is not a string")
+            try:
+                registry.add(make_device(entry["device_key"], entry["kind"], entry.get("params")))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: device {i}: {exc}") from None
         return registry
 
     @classmethod
@@ -240,18 +268,51 @@ class DeviceRegistry:
         registry.add(VirtualGpioBank("gpio"))
         return registry
 
-    def export_event_logs(self) -> str:
-        """All device events as JSON lines, one object per applied command."""
-        lines = []
-        for key in self._devices:
-            for event in self._devices[key].event_log:
-                lines.append(canonical_json({
-                    "deviceKey": key,
-                    "order": event.order,
-                    "command": event.command,
-                    "state": event.state,
-                }))
-        return "\n".join(lines) + ("\n" if lines else "")
 
-    def write_event_logs(self, path: str | Path) -> None:
-        Path(path).write_text(self.export_event_logs(), "utf-8")
+class EventFile:
+    """A device event sink that writes JSON lines to a file, in application order.
+
+    Each line is ``{"command","deviceKey","order","state"}``. Events are taken
+    under one lock, so the file is in application order across devices, and
+    they reach the file in batches of ``BATCH`` lines, one write each, and the
+    rest at ``close``: a write per event would cost each device command a
+    system call. The events of a batch that the file refuses (an ``OSError``
+    or a short write), and any event that arrives after ``close``, are counted
+    in ``lost``, not raised, so they fail no request.
+    """
+
+    BATCH = 64
+
+    def __init__(self, path: str | Path):
+        self._file = open(path, "wb", buffering=0)
+        self._lock = threading.Lock()
+        self._batch: list[tuple[str, DeviceEvent]] = []
+        self.lost = 0
+
+    def write(self, device_key: str, event: DeviceEvent) -> None:
+        with self._lock:
+            if self._file.closed:
+                self.lost += 1
+                return
+            self._batch.append((device_key, event))
+            if len(self._batch) >= self.BATCH:
+                self._write_batch()
+
+    def close(self) -> None:
+        with self._lock:
+            self._write_batch()
+            self._file.close()
+
+    def _write_batch(self) -> None:
+        data = "".join(canonical_json({
+            "deviceKey": key,
+            "order": event.order,
+            "command": event.command,
+            "state": event.state,
+        }) + "\n" for key, event in self._batch).encode("utf-8")
+        try:
+            if self._file.write(data) != len(data):  # a short write leaves a torn line
+                self.lost += len(self._batch)
+        except OSError:
+            self.lost += len(self._batch)
+        self._batch.clear()

@@ -16,6 +16,9 @@ from typing import Callable, Mapping
 
 App = Callable[[str, str, Mapping[str, str], bytes], tuple[int, bytes]]
 
+# How often the accept loop checks for a stop request: a stop waits up to this long.
+POLL_INTERVAL_S = 0.05
+
 
 class GatewayStartupError(Exception):
     """The server could not start (typically: port already in use)."""
@@ -67,8 +70,8 @@ class Server:
             raise GatewayStartupError(f"cannot bind port {port}: {exc}") from exc
         self._server.app = app
         self.port: int = self._server.server_address[1]
-        self.thread = threading.Thread(target=self._server.serve_forever, daemon=True,
-                                       name=thread_name)
+        self.thread = threading.Thread(target=self._server.serve_forever,
+                                       args=(POLL_INTERVAL_S,), daemon=True, name=thread_name)
         self.thread.start()
 
     def stop_listening(self) -> None:

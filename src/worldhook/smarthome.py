@@ -120,16 +120,28 @@ class Fixture:
 
     @classmethod
     def load(cls, path: str | Path) -> "Fixture":
+        """Raises ValueError naming the entry and the key when an entry is malformed."""
         doc = json.loads(Path(path).read_text("utf-8"))
-        devices = [
-            SmartHomeDevice(
-                device_id=entry["deviceId"],
-                device_type=DeviceType(entry["deviceType"]),
-                name=entry.get("name", entry["deviceId"]),
-                state=dict(entry.get("state") or default_state(DeviceType(entry["deviceType"]))),
-            )
-            for entry in doc.get("devices", [])
-        ]
+        entries = doc.get("devices", []) if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: expected an object with a list of devices")
+        devices = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: device {i} is not an object: {entry!r}")
+            for key in ("deviceId", "deviceType"):
+                if key not in entry:
+                    raise ValueError(f"{path}: device {i} lacks {key!r}")
+            try:
+                device_type = DeviceType(entry["deviceType"])
+                devices.append(SmartHomeDevice(
+                    device_id=entry["deviceId"],
+                    device_type=device_type,
+                    name=entry.get("name", entry["deviceId"]),
+                    state=dict(entry.get("state") or default_state(device_type)),
+                ))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: device {i}: {exc}") from None
         return cls(token=doc.get("token", DEFAULT_TOKEN), devices=devices)
 
 

@@ -12,6 +12,7 @@ import pytest
 import requests
 
 from worldhook import cli
+from worldhook.devices import EventFile
 from conftest import GatewayEnv
 
 URL_LINE = re.compile(r"^http://127\.0\.0\.1:\d+/[A-Za-z0-9]{16}$")
@@ -148,6 +149,72 @@ class TestServe:
         assert proc.returncode == 0, err
         assert "5 request log lines not written" in err
 
+    def test_event_log_streams_each_keys_events_in_request_log_order(self, tmp_path):
+        event_log = tmp_path / "events.jsonl"
+        proc = start_cli("serve", "--port", "0", "--log-format", "jsonl",
+                         "--event-log", str(event_log))
+        try:
+            url = read_line(proc)
+
+            def burst(route, payloads):
+                with requests.Session() as session:
+                    for payload in payloads:
+                        session.post(f"{url}/{route}", data=json.dumps({"request": payload}),
+                                     timeout=5)
+
+            posters = [threading.Thread(target=burst, args=("fan", ["on", "off"] * 5))
+                       for _ in range(4)]
+            posters += [threading.Thread(target=burst,
+                                         args=("piano", [str(10 * t + j) for j in range(10)]))
+                        for t in range(4)]
+            for t in posters:
+                t.start()
+            for t in posters:
+                t.join(10)
+            assert not any(t.is_alive() for t in posters)
+            streamed = event_log.read_text().splitlines()  # full batches, before shutdown
+        finally:
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert len(streamed) == EventFile.BATCH
+        events = [json.loads(line) for line in event_log.read_text().splitlines()]
+        assert len(events) == 80
+        assert all(sorted(doc) == ["command", "deviceKey", "order", "state"] for doc in events)
+        logged = [json.loads(line) for line in out.splitlines()]
+        assert all(doc["status"] == 200 for doc in logged)
+        for key in ("fan", "piano"):
+            mine = [doc for doc in events if doc["deviceKey"] == key]
+            assert [doc["order"] for doc in mine] == list(range(40))
+            assert ([doc["command"] for doc in mine]
+                    == [doc["request"] for doc in logged if doc["route"] == key])
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_unwritable_event_log_fails_no_request(self):
+        proc = start_cli("serve", "--port", "0", "--event-log", "/dev/full")
+        try:
+            url = read_line(proc)
+            with requests.Session() as session:
+                replies = [session.post(url + "/fan", data=b'{"request":"on"}', timeout=5)
+                           for _ in range(3)]
+            assert [r.status_code for r in replies] == [200] * 3
+        finally:
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert "event log: 3 device event lines not written" in err
+
+    @pytest.mark.parametrize("devices, names", [
+        ([{"kind": "Fan"}], "'device_key'"),
+        ([1], "device 0 is not an object"),
+    ])
+    def test_malformed_device_file_exits_2(self, tmp_path, capsys, devices, names):
+        config = tmp_path / "devices.json"
+        config.write_text(json.dumps({"devices": devices}))
+        assert cli.main(["serve", "--port", "0", "--devices", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {config}: ") and names in err
+
 
 class TestMockSmarthome:
     def test_serves_roster_until_interrupted(self):
@@ -175,6 +242,13 @@ class TestMockSmarthome:
         finally:
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=10)
+
+    def test_malformed_fixture_file_exits_2(self, tmp_path, capsys):
+        fixture_path = tmp_path / "bad.json"
+        fixture_path.write_text(json.dumps({"devices": [{"deviceType": "Bulb"}]}))
+        assert cli.main(["mock-smarthome", "--port", "0", "--fixture", str(fixture_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {fixture_path}: ") and "'deviceId'" in err
 
     def test_occupied_port_exits_2(self):
         blocker = socket.socket()

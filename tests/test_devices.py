@@ -1,13 +1,18 @@
 import json
+import os
 import random
+import sys
+import threading
 from decimal import Decimal, getcontext
 
 import pytest
 
 from worldhook.devices import (
+    DeviceEvent,
     DeviceFaultError,
     DeviceRegistry,
     Doorbell,
+    EventFile,
     Fan,
     FanState,
     Level,
@@ -207,12 +212,31 @@ class TestDeviceRegistry:
         assert handlers["fan"]("on") == "Running"
         assert handlers["piano"]("12") == "220.00"
 
+    @pytest.mark.parametrize("doc, names", [
+        ({"devices": [{"kind": "Fan"}]}, "'device_key'"),
+        ({"devices": [{"device_key": "f"}]}, "'kind'"),
+        ({"devices": [1]}, "device 0 is not an object"),
+        ({"devices": [{"device_key": "f", "kind": "Kettle"}]}, "Kettle"),
+        ({"devices": [{"device_key": "f", "kind": "Fan", "params": 5}]}, "device 0"),
+        ({"devices": [{"device_key": 5, "kind": "Fan"}]}, "'device_key' is not a string"),
+        ({"devices": [{"device_key": "g", "kind": "GpioBank", "params": {"default_pin": 32}}]},
+         "default pin 32 out of range"),
+        ({"devices": {"device_key": "f"}}, "list of devices"),
+    ])
+    def test_malformed_config_names_the_entry(self, tmp_path, doc, names):
+        config = tmp_path / "devices.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=names):
+            DeviceRegistry.load(config)
+
     def test_event_log_export_schema(self, tmp_path):
         registry = DeviceRegistry.default()
+        out = tmp_path / "events.jsonl"
+        events = EventFile(out)
+        registry.stream_events(events.write)
         registry.get("fan").command("on")
         registry.get("doorbell").ring()
-        out = tmp_path / "events.jsonl"
-        registry.write_event_logs(out)
+        events.close()
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
@@ -221,3 +245,75 @@ class TestDeviceRegistry:
         fan_line = json.loads(lines[0])
         assert fan_line == {"deviceKey": "fan", "order": 0, "command": "on",
                             "state": "Running"}
+        assert events.lost == 0
+
+
+class TestEventSink:
+    def test_streamed_events_continue_the_order_and_are_not_kept(self):
+        registry = DeviceRegistry.default()
+        fan = registry.get("fan")
+        fan.command("on")
+        streamed = []
+        registry.stream_events(lambda key, event: streamed.append((key, event)))
+        fan.command("off")
+        fan.command("on")
+        registry.get("piano").play(12)
+        assert streamed == [("fan", DeviceEvent(1, "off", "Stopped")),
+                            ("fan", DeviceEvent(2, "on", "Running")),
+                            ("piano", DeviceEvent(0, "12", 220.0))]
+        assert fan.event_log == [DeviceEvent(0, "on", "Running")]
+        assert registry.get("piano").event_log == []
+
+    def test_event_file_keeps_lines_whole_under_concurrent_devices(self, tmp_path):
+        registry = DeviceRegistry()
+        fans = [registry.add(Fan(f"fan-{i}")) for i in range(8)]
+        out = tmp_path / "events.jsonl"
+        events = EventFile(out)
+        registry.stream_events(events.write)
+
+        def toggle(fan):  # one thread per device, as the gateway's key workers run
+            for i in range(200):
+                fan.handle("on" if i % 2 else "off")
+
+        threads = [threading.Thread(target=toggle, args=(fan,)) for fan in fans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+            events.close()
+        assert not any(t.is_alive() for t in threads)
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(docs) == 1600 and events.lost == 0
+        for fan in fans:
+            assert ([d["order"] for d in docs if d["deviceKey"] == fan.device_key]
+                    == list(range(200)))
+
+    def test_event_file_writes_each_full_batch_at_once(self, tmp_path):
+        out = tmp_path / "events.jsonl"
+        events = EventFile(out)
+        fan = Fan("fan")
+        fan.sink = lambda event: events.write("fan", event)
+        for _ in range(EventFile.BATCH + 1):
+            fan.handle("on")
+        assert len(out.read_text().splitlines()) == EventFile.BATCH
+        events.close()
+        docs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [d["order"] for d in docs] == list(range(EventFile.BATCH + 1))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_event_file_counts_lines_it_cannot_write(self):
+        events = EventFile("/dev/full")  # every write fails with ENOSPC
+        fan = Fan("fan")
+        fan.sink = lambda event: events.write("fan", event)
+        for _ in range(EventFile.BATCH + 2):
+            assert fan.handle("on") == "Running"
+        assert events.lost == EventFile.BATCH
+        events.close()
+        assert events.lost == EventFile.BATCH + 2
+        events.write("fan", DeviceEvent(EventFile.BATCH + 2, "on", "Running"))
+        assert events.lost == EventFile.BATCH + 3

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 import requests
 
-from worldhook.devices import DeviceFaultError, Fan
+from worldhook.devices import DeviceFaultError, DeviceRegistry, Fan
 from worldhook.envelope import ErrorCode, GatewayError
 from worldhook.gateway import (
     GatewayApp,
@@ -225,26 +225,39 @@ class TestRequestLog:
     def test_log_retains_no_memory_per_request(self):
         registration = HandlerRegistration().register_route("fan", lambda p: "Running")
         dispatcher = RequestDispatcher(GatewayConfig(), registration)
-        body = envelope_bytes("on", itemId="fan", userId="u1")
-
-        def traced_bytes_after(n: int) -> int:
-            for _ in range(n):
-                assert dispatcher.handle_request(body, "/trigger/fan")[0] == 200
-            assert wait_until(lambda: not dispatcher._pending)
-            gc.collect()
-            return tracemalloc.get_traced_memory()[0]
-
-        tracemalloc.start()
-        try:
-            baseline = traced_bytes_after(200)  # warm-up: caches, lazy imports
-            after_1000 = traced_bytes_after(1000)
-            after_5000 = traced_bytes_after(4000)
-        finally:
-            tracemalloc.stop()
         # A retained record with its envelope is ~670 B: 5000 of them would be ~3.3 MB.
-        assert after_1000 - baseline < 32_000
-        assert after_5000 - baseline < 32_000
+        assert retained_bytes(dispatcher, "/trigger/fan") < 32_000
         assert len(dispatcher.request_log) == 5200
+
+    def test_devices_with_a_dropping_sink_retain_no_memory_per_request(self):
+        registry = DeviceRegistry.default()
+        registry.stream_events(lambda device_key, event: None)
+        dispatcher = RequestDispatcher(GatewayConfig(),
+                                       HandlerRegistration().register_devices(registry))
+        # A kept fan event is ~190 B: 5000 of them would be ~0.9 MB.
+        assert retained_bytes(dispatcher, "/trigger/fan") < 32_000
+        assert registry.get("fan").state.value == "Running"
+
+
+def retained_bytes(dispatcher: RequestDispatcher, path: str) -> int:
+    """Traced bytes held after 1000 and after 5000 "on" requests, beyond a warm-up of 200."""
+    body = envelope_bytes("on", itemId="fan", userId="u1")
+
+    def traced_bytes_after(n: int) -> int:
+        for _ in range(n):
+            assert dispatcher.handle_request(body, path)[0] == 200
+        assert wait_until(lambda: not dispatcher._pending)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        baseline = traced_bytes_after(200)  # warm-up: caches, lazy imports
+        after_1000 = traced_bytes_after(1000)
+        after_5000 = traced_bytes_after(4000)
+    finally:
+        tracemalloc.stop()
+    return max(after_1000, after_5000) - baseline
 
 
 class TestDispatchLifecycle:

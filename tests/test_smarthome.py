@@ -85,6 +85,20 @@ class TestFixture:
         assert [(d.device_id, d.device_type, d.name, d.state) for d in loaded.devices] == \
             [(d.device_id, d.device_type, d.name, d.state) for d in fixture.devices]
 
+    @pytest.mark.parametrize("doc, names", [
+        ({"devices": [{"deviceType": "Bulb"}]}, "'deviceId'"),
+        ({"devices": [{"deviceId": "b"}]}, "'deviceType'"),
+        ({"devices": ["bulb-1"]}, "device 0 is not an object"),
+        ({"devices": [{"deviceId": "b", "deviceType": "Kettle"}]}, "Kettle"),
+        ({"devices": [{"deviceId": "b", "deviceType": "Bulb", "state": 5}]}, "device 0"),
+        ([], "list of devices"),
+    ])
+    def test_malformed_fixture_names_the_entry(self, tmp_path, doc, names):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=names):
+            Fixture.load(path)
+
     def test_empty_fixture(self):
         handle = start_mock(Fixture(token="t", devices=[]))
         try:
