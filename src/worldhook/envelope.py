@@ -135,9 +135,16 @@ class SmartHomeRequest:
     kwargs: dict = field(default_factory=dict)
 
 
+# One encoder per wire format, built once: json.dumps with any non-default
+# argument builds a new JSONEncoder on every call. Encoders keep no state
+# between calls, so threads share them.
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+_COMPACT = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """Canonical text of a JSON value: sorted keys, no whitespace, raw UTF-8."""
-    return json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def new_request_id() -> str:
@@ -148,7 +155,7 @@ def new_request_id() -> str:
 def encode_envelope(env: TriggerEnvelope) -> bytes:
     """Encode an envelope to its UTF-8 JSON wire form with exactly six fields."""
     doc = {wire: getattr(env, attr) for wire, attr in _WIRE_KEYS}
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return _COMPACT.encode(doc).encode("utf-8")
 
 
 def decode_envelope(raw: bytes) -> Union[TriggerEnvelope, GatewayError]:
@@ -196,6 +203,11 @@ def _reject_constant(name: str) -> Any:
     raise ValueError(f"{name} is not a JSON number")
 
 
+# Built once, like the encoders: json.loads with parse_constant builds a new
+# decoder, and reads six of its attributes by name, on every call.
+_SMARTHOME_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_smarthome_request(payload: str) -> Union[SmartHomeRequest, GatewayError]:
     """Parse an envelope's ``request`` string as a smart-home command.
 
@@ -205,7 +217,7 @@ def parse_smarthome_request(payload: str) -> Union[SmartHomeRequest, GatewayErro
     GatewayError rather than raising, whatever the input text.
     """
     try:
-        doc = json.loads(payload, parse_constant=_reject_constant)
+        doc = _SMARTHOME_DECODER.decode(payload)
     except (ValueError, RecursionError) as exc:  # bad JSON, NaN, deep nesting, huge ints
         return GatewayError(ErrorCode.MALFORMED_PAYLOAD, f"payload is not JSON: {exc}")
     if not isinstance(doc, dict):
@@ -239,4 +251,4 @@ def serialize_response(resp: HandlerResponse) -> tuple[int, bytes]:
         if not isinstance(err, GatewayError):
             err = GatewayError(ErrorCode.INTERNAL, str(err))
         doc = err.to_json_dict()
-    return status, json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return status, _COMPACT.encode(doc).encode("utf-8")

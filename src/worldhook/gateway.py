@@ -1,10 +1,11 @@
 """The HTTP gateway: accepts POSTed trigger envelopes and runs handlers.
 
-Request lifecycle: decode the envelope, resolve the route (honoring tunnel
-run tokens on the path), run the route's handler with the envelope's
-``request`` string, serialize the result, and append a record to the request
-log. The server never dies because of a request; any failure becomes a
-structured error response.
+Request lifecycle: resolve the route (honoring tunnel run tokens on the path)
+in the one route table, decode the envelope, run the route's handler with the
+envelope's ``request`` string, serialize the result, and append a record to
+the request log. The server never dies because of a request; any failure,
+including a handler result that is not JSON, becomes a structured error
+response, and every request leaves the path through one exit that logs it.
 
 Concurrency: each busy device key has one worker thread that runs the key's
 requests in arrival order; unrelated keys run concurrently, and a request
@@ -13,9 +14,11 @@ then logs the request, so the request log holds one key's requests in the
 order the device saw them. A key's queue is bounded (overflow rejects with
 DeviceFault), and its worker exits once the queue is empty. Each request has
 one deadline, ``handler_timeout_ms`` from submission, covering its queue wait
-and its handler. A request still queued at the deadline is withdrawn with a
-500; a handler still running gets a 500 while it finishes in the background,
-still holding its key so mutual exclusion per device is never violated.
+and its handler. At the deadline the key's queue decides: a request still in
+it is removed, under the queue lock, and answered "timed out waiting for
+device" without ever running; any other request is running, and gets a 500
+while its handler finishes in the background, still holding its key so mutual
+exclusion per device is never violated.
 
 Request log: records are numbered (``arrival_order``) and counted (``len``)
 over the process's lifetime, but the log keeps none of them: each record goes
@@ -34,7 +37,7 @@ import threading
 import time
 from collections import deque
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import tunnel
@@ -43,7 +46,9 @@ from .envelope import (
     ErrorCode,
     GatewayError,
     HandlerResponse,
+    ResponseStatus,
     TriggerEnvelope,
+    canonical_json,
     decode_envelope,
     serialize_response,
 )
@@ -77,7 +82,7 @@ class GatewayConfig:
 
 
 class HandlerRegistration:
-    """The gateway's handler table: one default slot plus named routes.
+    """The gateway's handler table: one dict of routes, the default under ``""``.
 
     A handler is ``f(payload: str) -> result`` where the result may be a
     plain string, any JSON value, a :class:`HandlerResponse`, a
@@ -87,23 +92,22 @@ class HandlerRegistration:
     """
 
     def __init__(self):
-        self.default_handler: Optional[Callable[[str], Any]] = None
-        self.named_routes: dict[str, Callable[[str], Any]] = {}
+        self.routes: dict[str, Callable[[str], Any]] = {}
 
     def register_default(self, handler: Callable[[str], Any]) -> "HandlerRegistration":
         """Register the default handler. A second registration is an error."""
-        if self.default_handler is not None:
+        if _DEFAULT_ROUTE in self.routes:
             raise RegistrationError("a default handler is already registered")
-        self.default_handler = handler
+        self.routes[_DEFAULT_ROUTE] = handler
         return self
 
     def register_route(self, name: str, handler: Callable[[str], Any]) -> "HandlerRegistration":
         """Register a named route, serialized under its name as device key."""
         if not _ROUTE_NAME_RE.fullmatch(name):
             raise RegistrationError(f"route name {name!r} is not URL-safe")
-        if name in self.named_routes:
+        if name in self.routes:
             raise RegistrationError(f"route {name!r} is already registered")
-        self.named_routes[name] = handler
+        self.routes[name] = handler
         return self
 
     def register_devices(self, registry: DeviceRegistry) -> "HandlerRegistration":
@@ -113,7 +117,7 @@ class HandlerRegistration:
         return self
 
     def has_handlers(self) -> bool:
-        return self.default_handler is not None or bool(self.named_routes)
+        return bool(self.routes)
 
 
 @dataclass(frozen=True)
@@ -185,39 +189,33 @@ class RequestDispatcher:
 
     # -- route resolution ---------------------------------------------------
 
-    def _match_routes(self, path: str) -> Optional[str]:
-        prefix = self.config.route_prefix
+    def _match(self, path: str, prefix: str) -> Optional[str]:
+        """The route ``path`` names under ``prefix``, or None."""
         if path == prefix or path == prefix + "/":
             return _DEFAULT_ROUTE
         if path.startswith(prefix + "/"):
             name = path[len(prefix) + 1:].strip("/")
-            if name and "/" not in name and name in self.registration.named_routes:
+            if name and name in self.registration.routes:
                 return name
         return None
 
     def resolve_route(self, path: str) -> Optional[str]:
         """Map a request path to a route name ("" = default), or None (404).
 
-        Accepted shapes: ``<prefix>``, ``<prefix>/<name>``, and the same two
-        behind an active tunnel token (``/<token>``, ``/<token><prefix>...``,
-        ``/<token>/<name>``). Wrong or revoked tokens resolve to nothing.
+        Accepted shapes: ``<prefix>``, ``<prefix>/<name>``, and behind an
+        active tunnel token the same two plus the bare ``/<token>`` and
+        ``/<token>/<name>``. Wrong or revoked tokens resolve to nothing.
         """
         path = path.split("?", 1)[0]
-        route = self._match_routes(path)
-        if route is not None:
-            return route
-        first, _, rest = path.lstrip("/").partition("/")
-        if first and self.token_registry.is_active(first):
-            remainder = "/" + rest if rest else ""
-            if remainder in ("", "/"):
-                return _DEFAULT_ROUTE
-            route = self._match_routes(remainder)
-            if route is not None:
-                return route
-            name = remainder.strip("/")
-            if name and "/" not in name and name in self.registration.named_routes:
-                return name
-        return None
+        route = self._match(path, self.config.route_prefix)
+        if route is None:
+            token, _, rest = path.lstrip("/").partition("/")
+            if token and self.token_registry.is_active(token):
+                rest = "/" + rest
+                route = self._match(rest, self.config.route_prefix)
+                if route is None:
+                    route = self._match(rest, "")
+        return route
 
     # -- execution ----------------------------------------------------------
 
@@ -252,11 +250,10 @@ class RequestDispatcher:
         """Run ``entry`` and then ``key``'s queued jobs; drop the key when none are left."""
         while True:
             future, job = entry
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(job())
-                except BaseException as exc:  # noqa: BLE001 - re-raised by future.result()
-                    future.set_exception(exc)
+            try:
+                future.set_result(job())
+            except BaseException as exc:  # noqa: BLE001 - re-raised by future.result()
+                future.set_exception(exc)
             with self._pending_lock:
                 pending = self._pending[key]
                 if not pending:
@@ -266,18 +263,19 @@ class RequestDispatcher:
 
     @staticmethod
     def _invoke(handler: Callable[[str], Any], env: TriggerEnvelope) -> HandlerResponse:
+        """Run the handler and encode its OK result; any failure of either is a 500."""
         try:
             result = handler(env.request)
+            if isinstance(result, GatewayError):
+                return HandlerResponse.from_error(result)
+            if not isinstance(result, HandlerResponse):
+                result = HandlerResponse.ok("" if result is None else result)
+            if result.status is ResponseStatus.OK and not isinstance(result.body, str):
+                return HandlerResponse.ok(canonical_json(result.body))
+            return result
         except BaseException as exc:  # noqa: BLE001 - becomes a 500, never kills the server
             code = ErrorCode.DEVICE_FAULT if isinstance(exc, DeviceFaultError) else ErrorCode.INTERNAL
             return HandlerResponse.from_error(GatewayError(code, str(exc), env.request_id))
-        if isinstance(result, HandlerResponse):
-            return result
-        if isinstance(result, GatewayError):
-            return HandlerResponse.from_error(result)
-        if result is None:
-            return HandlerResponse.ok("")
-        return HandlerResponse.ok(result)
 
     def handle_request(self, raw_body: bytes, path: str, method: str = "POST") -> tuple[int, bytes]:
         """Full request lifecycle; always returns a (status, body) pair."""
@@ -289,20 +287,21 @@ class RequestDispatcher:
                 return self._handle(raw_body, path, method, start)
             except Exception as exc:  # gateway bug: still answer, never die
                 err = GatewayError(ErrorCode.INTERNAL, f"internal error: {exc}")
-                return self._finish(HandlerResponse.from_error(err), start=start,
-                                    envelope=None, route=path, dispatched=False)
+                return self._finish(err, start=start, route=path)
         finally:
             with self._inflight_cond:
                 self._inflight -= 1
                 self._inflight_cond.notify_all()
 
-    def _finish(self, response: HandlerResponse, *, start: float,
-                envelope: Optional[TriggerEnvelope], route: str,
-                dispatched: bool) -> tuple[int, bytes]:
+    def _finish(self, response: HandlerResponse | GatewayError, *, start: float, route: str,
+                envelope: Optional[TriggerEnvelope] = None,
+                dispatched: bool = False) -> tuple[int, bytes]:
+        """The one exit: serialize the reply and log the request."""
+        if isinstance(response, GatewayError):
+            response = HandlerResponse.from_error(response)
         status, body = serialize_response(response)
-        request_id = envelope.request_id if envelope else ""
         self.request_log.append(
-            request_id=request_id,
+            request_id=envelope.request_id if envelope else "",
             envelope=envelope,
             response_status=status,
             latency_ms=(time.monotonic() - start) * 1000.0,
@@ -315,32 +314,22 @@ class RequestDispatcher:
         route = self.resolve_route(path)
         if route is None:
             err = GatewayError(ErrorCode.UNKNOWN_FUNCTION, f"no route for {path!r}")
-            return self._finish(HandlerResponse.from_error(err),
-                                start=start, envelope=None, route=path, dispatched=False)
+            return self._finish(err, start=start, route=path)
         if method != "POST":
             err = GatewayError(ErrorCode.MALFORMED_ENVELOPE, "only POST is supported")
-            return self._finish(HandlerResponse.from_error(err),
-                                start=start, envelope=None, route=route, dispatched=False)
-
-        decoded = decode_envelope(raw_body)
-        if isinstance(decoded, GatewayError):
-            return self._finish(HandlerResponse.from_error(decoded),
-                                start=start, envelope=None, route=route, dispatched=False)
-        env = decoded
-
-        if route == _DEFAULT_ROUTE:
-            handler = self.registration.default_handler
-        else:
-            handler = self.registration.named_routes.get(route)
+            return self._finish(err, start=start, route=route)
+        env = decode_envelope(raw_body)
+        if isinstance(env, GatewayError):
+            return self._finish(env, start=start, route=route)
+        handler = self.registration.routes.get(route)
         if handler is None:
             err = GatewayError(ErrorCode.UNKNOWN_FUNCTION, "no handler for this route",
                                env.request_id)
-            return self._finish(HandlerResponse.from_error(err),
-                                start=start, envelope=env, route=route, dispatched=False)
+            return self._finish(err, start=start, envelope=env, route=route)
 
         key = self._device_key(route, env)
         slot = object() if key is None else key
-        claim = threading.Lock()  # whoever takes it logs the request: worker or timeout
+        claim = threading.Lock()  # whoever takes it logs a running request: worker or timeout
 
         def job() -> Optional[tuple[int, bytes]]:
             response = self._invoke(handler, env)
@@ -351,29 +340,27 @@ class RequestDispatcher:
 
         entry = self._run_handler(job, slot)
         if entry is None:
-            err = GatewayError(ErrorCode.DEVICE_FAULT,
-                               f"device queue full for key {key!r}", env.request_id)
-            return self._finish(HandlerResponse.from_error(err),
-                                start=start, envelope=env, route=route, dispatched=False)
+            err = GatewayError(ErrorCode.DEVICE_FAULT, f"device queue full for key {key!r}",
+                               env.request_id)
+            return self._finish(err, start=start, envelope=env, route=route)
         future = entry[0]
         try:
             return future.result(self.config.handler_timeout_ms / 1000.0)
         except futures.TimeoutError:  # not the builtin TimeoutError before Python 3.11
             pass
-        if future.cancel():
-            with self._pending_lock:  # free its slot; a worker that already popped it skips it
-                pending = self._pending.get(slot, ())
-                if entry in pending:
-                    pending.remove(entry)
-            message, dispatched = f"timed out waiting for device {key!r}", False
+        with self._pending_lock:  # still queued: withdraw it, and its worker never sees it
+            pending = self._pending.get(slot, ())
+            queued = entry in pending
+            if queued:
+                pending.remove(entry)
+        if queued:
+            message = f"timed out waiting for device {key!r}"
         else:  # the handler keeps its key until it returns
             message = f"handler timed out after {self.config.handler_timeout_ms}ms"
-            dispatched = True
-        if not claim.acquire(blocking=False):
-            return future.result()  # the worker is logging the handler's reply
-        err = GatewayError(ErrorCode.INTERNAL, message, env.request_id)
-        return self._finish(HandlerResponse.from_error(err),
-                            start=start, envelope=env, route=route, dispatched=dispatched)
+            if not claim.acquire(blocking=False):
+                return future.result()  # the worker is logging the handler's reply
+        return self._finish(GatewayError(ErrorCode.INTERNAL, message, env.request_id),
+                            start=start, envelope=env, route=route, dispatched=not queued)
 
     def wait_idle(self, timeout_s: float) -> bool:
         with self._inflight_cond:
@@ -388,8 +375,6 @@ class ServerHandle:
     request_log: RequestLog
     dispatcher: RequestDispatcher
     _server: Server
-    _closed: bool = field(default=False)
-    _close_lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
     def base_url(self) -> str:
@@ -406,10 +391,6 @@ class ServerHandle:
 
     def shutdown(self) -> None:
         """Stop listening, let in-flight requests finish (bounded), close. Idempotent."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
         self._server.stop_listening()
         self.dispatcher.wait_idle(self.dispatcher.config.handler_timeout_ms / 1000.0)
         self._server.close()

@@ -236,6 +236,46 @@ class TestProperties:
             assert dispatcher.resolve_route(path) is None, path
 
 
+def compact(doc) -> bytes:
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+class TestEncodersMatchJsonDumps:
+    """The module-level encoders give the bytes of ``json.dumps`` with the same arguments."""
+
+    @given(JSON_VALUES)
+    def test_canonical_json_and_ok_reply(self, value):
+        canonical = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert canonical_json(value) == canonical
+        embedded = value if isinstance(value, str) else canonical
+        assert serialize_response(HandlerResponse.ok(value)) == (200, compact({"response": embedded}))
+
+    @given(st.sampled_from(ErrorCode), st.text(), st.text())
+    def test_error_reply(self, code, message, request_id):
+        err = GatewayError(code, message, request_id)
+        assert serialize_response(HandlerResponse.from_error(err))[1] == compact(err.to_json_dict())
+
+    @given(JSON_VALUES)
+    def test_smarthome_decoder_matches_json_loads(self, value):
+        def reject(name):
+            raise ValueError(f"{name} is not a JSON number")
+
+        text = json.dumps({"function_name": "f", "args": [value], "kwargs": {"k": value}})
+        try:
+            doc = json.loads(text, parse_constant=reject)
+        except ValueError as exc:
+            expected = GatewayError(ErrorCode.MALFORMED_PAYLOAD, f"payload is not JSON: {exc}")
+        else:
+            expected = SmartHomeRequest("f", doc["args"], doc["kwargs"])
+        assert parse_smarthome_request(text) == expected
+
+    @given(ENVELOPES)
+    def test_encode_envelope(self, env):
+        assert encode_envelope(env) == compact({
+            "request": env.request, "requestId": env.request_id, "worldId": env.world_id,
+            "itemId": env.item_id, "userId": env.user_id, "timestampMs": env.timestamp_ms})
+
+
 class TestSerializeResponse:
     def test_ok_string(self):
         assert serialize_response(HandlerResponse.ok("done")) == (200, b'{"response":"done"}')

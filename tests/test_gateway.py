@@ -354,6 +354,22 @@ class TestDispatchLifecycle:
         status, body = dispatcher.handle_request(envelope_bytes("x"), "/trigger")
         assert (status, json.loads(body)) == (200, {"response": ""})
 
+    def test_handler_result_that_is_not_json_is_a_dispatched_500(self):
+        registration = HandlerRegistration().register_route(
+            "dev", lambda p: {1, 2} if p == "set" else p)
+        dispatcher = RequestDispatcher(GatewayConfig(), registration)
+        records = recorded(dispatcher)
+        status, body = dispatcher.handle_request(
+            envelope_bytes("set", requestId="r42"), "/trigger/dev")
+        error = json.loads(body)["error"]
+        assert (status, error["code"], error["request_id"]) == (500, "Internal", "r42")
+        assert wait_until(lambda: not dispatcher._pending)  # the key is free again
+        assert dispatcher.handle_request(
+            envelope_bytes("ok", requestId="r43"), "/trigger/dev")[0] == 200
+        assert [(r.request_id, r.route, r.dispatched, r.response_status, r.envelope.request)
+                for r in records] == [("r42", "dev", True, 500, "set"),
+                                      ("r43", "dev", True, 200, "ok")]
+
     def test_timeout_maps_to_500(self):
         def sleepy(payload):
             time.sleep(1.0)
